@@ -2,7 +2,8 @@
 
 Every LLM call in the package goes through a ChatClient, which owns the call
 counter and per-backend concurrency bounds. Remote backends retry transport
-failures and 5xx with exponential backoff; auth problems fail immediately.
+failures, 5xx and 429 with exponential backoff (or the server's Retry-After);
+auth problems fail immediately.
 Mock backends are pure functions of (script, seed, request), with latency
 simulated from a hash of the request so traces do not depend on scheduling.
 """
@@ -226,8 +227,17 @@ class MockBackend:
 # -- remote -----------------------------------------------------------------
 
 
+def _retry_after_s(headers, cap_s: float) -> float | None:
+    """A numeric Retry-After header (RFC 9110 section 10.2.3), capped; else None.
+
+    The HTTP-date form is not honoured; the caller falls back to its backoff.
+    """
+    value = headers.get("Retry-After", "").strip()
+    return min(float(value), cap_s) if re.fullmatch(r"[0-9]+", value) else None
+
+
 class RemoteBackend:
-    """OpenAI-compatible chat endpoint with retry on transport errors and 5xx."""
+    """OpenAI-compatible chat endpoint with retry on transport errors, 5xx and 429."""
 
     def __init__(self, config: BackendConfig, session: requests.Session | None = None):
         self.config = config
@@ -264,9 +274,12 @@ class RemoteBackend:
         start = time.monotonic()
         last_error: Exception | None = None
         timed_out = False
+        retry_after: float | None = None
         for attempt in range(1, self.config.retries + 1):
             if attempt > 1:
-                time.sleep(self.config.backoff_s * 2 ** (attempt - 2))
+                backoff = self.config.backoff_s * 2 ** (attempt - 2)
+                time.sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             try:
                 resp = self.session.post(
                     self.config.url,
@@ -286,11 +299,13 @@ class RemoteBackend:
                 raise AuthError(
                     f"backend {self.config.name!r}: HTTP {resp.status_code} (bad credentials)"
                 )
-            if resp.status_code >= 500:
+            if resp.status_code >= 500 or resp.status_code == 429:
                 last_error = TransportError(
                     f"backend {self.config.name!r}: HTTP {resp.status_code}", attempts=attempt
                 )
                 timed_out = False
+                if resp.status_code == 429:
+                    retry_after = _retry_after_s(resp.headers, self.config.timeout_ms / 1000.0)
                 logger.warning(
                     "backend %s attempt %d: HTTP %d", self.config.name, attempt, resp.status_code
                 )

@@ -8,7 +8,6 @@ subject is the argmax of that normalized score across models.
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import logging
@@ -217,7 +216,6 @@ def run_profiling(
         "calls": calls,
         "transport_failures": failures,
         "seed": seed,
-        "created": datetime.date.today().isoformat(),
     }
     return ProfileStore(profiles=profiles, provenance=provenance)
 

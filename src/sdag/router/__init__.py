@@ -1,6 +1,5 @@
 """Trainable subject router: graph network, loss, training, DAG generation."""
 
-from .autodiff import Tensor, backward
 from .checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from .generation import GenerationConfig, assemble_dag, generate_sdag
 from .loss import PROB_EPS, LossConfig, edge_mask, loss_and_gradients, masked_bce_loss
@@ -17,8 +16,6 @@ from .model import (
 from .training import TrainConfig, TrainResult, TrainSample, train, train_router
 
 __all__ = [
-    "Tensor",
-    "backward",
     "CHECKPOINT_VERSION",
     "load_checkpoint",
     "save_checkpoint",

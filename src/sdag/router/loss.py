@@ -14,8 +14,7 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..subjects import NUM_SUBJECTS
-from .autodiff import Tensor, backward
-from .model import PAIR_DST, PAIR_SRC, ForwardTape, RouterOutput, RouterParams, _sigmoid
+from .model import PAIR_DST, PAIR_SRC, ForwardTape, RouterOutput, RouterParams, backward, route
 
 Array = np.ndarray
 
@@ -57,10 +56,6 @@ def edge_mask(node_labels: Array) -> Array:
     return mask
 
 
-def _pair_mask_vector(node_labels: Array) -> Array:
-    return edge_mask(node_labels)[PAIR_SRC, PAIR_DST].astype(np.float64)
-
-
 def masked_bce_loss(
     output: RouterOutput,
     node_labels: Array,
@@ -76,7 +71,7 @@ def masked_bce_loss(
         1.0 - PROB_EPS,
     )
     pair_y = edge_labels[PAIR_SRC, PAIR_DST]
-    mask = _pair_mask_vector(node_labels)
+    mask = edge_mask(node_labels)[PAIR_SRC, PAIR_DST]
 
     node_sum = (node_labels * np.log(node_p) + (1.0 - node_labels) * np.log(1.0 - node_p)).sum()
     edge_sum = ((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p)) * mask).sum()
@@ -86,28 +81,33 @@ def masked_bce_loss(
     return float(loss)
 
 
-def loss_on_tape(
+def _clamped_residual(probs: Array, labels: Array) -> Array:
+    # The clamped loss is flat outside (PROB_EPS, 1 - PROB_EPS): zero gradient there.
+    return (probs - labels) * ((probs > PROB_EPS) & (probs < 1.0 - PROB_EPS))
+
+
+def logit_gradients(
     tape: ForwardTape,
     node_labels: Array,
     edge_labels: Array,
     config: LossConfig = LossConfig(),
-) -> Tensor:
-    """The objective as a tape node, differentiable back to the parameters."""
+) -> tuple[float, Array, Array]:
+    """Objective value and its gradient at the node and edge logits.
+
+    The BCE gradient at a logit is lambda * (p - y), zero where the clamp is
+    active. The edge gradient is a 15 x 15 grid, exactly zero on masked pairs
+    and on the diagonal.
+    """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
-
-    node_y = Tensor(node_labels.reshape(NUM_SUBJECTS, 1))
-    node_y_inv = Tensor(1.0 - node_labels.reshape(NUM_SUBJECTS, 1))
-    node_p = tape.node_logits.sigmoid().clamp(PROB_EPS, 1.0 - PROB_EPS)
-    node_sum = (node_y * node_p.log() + node_y_inv * (1.0 - node_p).log()).sum()
-
-    pair_y_data = edge_labels[PAIR_SRC, PAIR_DST].reshape(-1, 1)
-    pair_y = Tensor(pair_y_data)
-    pair_y_inv = Tensor(1.0 - pair_y_data)
-    mask = Tensor(_pair_mask_vector(node_labels).reshape(-1, 1))
-    pair_p = tape.edge_logits.sigmoid().clamp(PROB_EPS, 1.0 - PROB_EPS)
-    edge_sum = ((pair_y * pair_p.log() + pair_y_inv * (1.0 - pair_p).log()) * mask).sum()
-
-    return config.lambda_node * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
+    output = tape.output()
+    value = masked_bce_loss(output, node_labels, edge_labels, config)
+    d_node = config.lambda_node * _clamped_residual(output.node_probs, node_labels)
+    d_edge = (
+        config.lambda_edge
+        * edge_mask(node_labels)
+        * _clamped_residual(output.edge_probs, edge_labels)
+    )
+    return value, d_node, d_edge
 
 
 def loss_and_gradients(
@@ -117,14 +117,10 @@ def loss_and_gradients(
     edge_labels: Array,
     config: LossConfig = LossConfig(),
 ) -> tuple[float, dict[str, Array]]:
-    """Forward pass, objective, and reverse-mode parameter gradients."""
+    """Forward pass, objective, and hand-derived parameter gradients."""
     tape = ForwardTape(params, h_q)
-    loss = loss_on_tape(tape, node_labels, edge_labels, config)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"loss is {value}")
-    backward(loss)
-    return value, tape.gradients()
+    value, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels, config)
+    return value, backward(tape, d_node, d_edge)
 
 
 def loss_for_dag_output(
@@ -132,8 +128,6 @@ def loss_for_dag_output(
     config: LossConfig = LossConfig(),
 ) -> float:
     """Objective value only, via the same forward path as training."""
-    from .model import route
-
     return masked_bce_loss(route(params, h_q), node_labels, edge_labels, config)
 
 
@@ -142,8 +136,7 @@ __all__ = [
     "LossConfig",
     "edge_mask",
     "masked_bce_loss",
-    "loss_on_tape",
+    "logit_gradients",
     "loss_and_gradients",
     "loss_for_dag_output",
-    "_sigmoid",
 ]

@@ -45,7 +45,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    batch_size: int = 1
     shuffle: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -58,8 +57,6 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be positive")
-        if self.batch_size != 1:
-            raise ValueError("only batch_size=1 is supported")
 
 
 @dataclass

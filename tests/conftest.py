@@ -136,8 +136,8 @@ def trained_router():
 
 
 class ScriptedServer:
-    """Loopback HTTP server that replays scripted (status, body, delay)
-    responses in order and records every request it receives."""
+    """Loopback HTTP server that replays scripted (status, body, delay,
+    headers) responses in order and records every request it receives."""
 
     def __init__(self):
         self.responses = []
@@ -160,15 +160,19 @@ class ScriptedServer:
                     }
                 )
                 if outer.responses:
-                    status, body, delay = outer.responses.pop(0)
+                    status, body, delay, headers = outer.responses.pop(0)
                 else:
-                    status, body, delay = 200, {"choices": [{"message": {"content": "ok"}}]}, 0.0
+                    status, body, delay, headers = (
+                        200, {"choices": [{"message": {"content": "ok"}}]}, 0.0, {}
+                    )
                 if delay:
                     time.sleep(delay)
                 data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -180,8 +184,8 @@ class ScriptedServer:
         self.thread.start()
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat/completions"
 
-    def enqueue(self, status, body, delay=0.0):
-        self.responses.append((status, body, delay))
+    def enqueue(self, status, body, delay=0.0, headers=None):
+        self.responses.append((status, body, delay, headers or {}))
 
     def close(self):
         self.server.shutdown()

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,40 @@ def test_remote_4xx_fails_fast(scripted_server):
     with pytest.raises(TransportError):
         backend.complete(ChatRequest(backend="rb", user="u"))
     assert len(scripted_server.requests) == 1
+
+
+def test_remote_retries_429_within_budget(scripted_server):
+    scripted_server.enqueue(429, {"error": "slow down"})
+    scripted_server.enqueue(200, {"choices": [{"message": {"content": "later"}}]})
+    backend = RemoteBackend(remote_config(scripted_server.url))
+    reply = backend.complete(ChatRequest(backend="rb", user="u"))
+    assert reply.text == "later"
+    assert reply.attempts == 2
+
+
+@pytest.mark.parametrize(
+    "header, expected_s", [("0", 0.0), ("2", 2.0), ("120", 2.0), ("soon", 0.01), (None, 0.01)]
+)
+def test_remote_429_sleeps_retry_after_capped_at_timeout(
+    scripted_server, monkeypatch, header, expected_s
+):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    scripted_server.enqueue(429, {}, headers={} if header is None else {"Retry-After": header})
+    backend = RemoteBackend(remote_config(scripted_server.url))
+    assert backend.complete(ChatRequest(backend="rb", user="u")).attempts == 2
+    # Numeric Retry-After, capped at timeout_ms = 2000; otherwise backoff_s.
+    assert slept == [expected_s]
+
+
+def test_remote_429_exhausts_retry_budget(scripted_server):
+    for _ in range(3):
+        scripted_server.enqueue(429, {"error": "slow down"}, headers={"Retry-After": "0"})
+    backend = RemoteBackend(remote_config(scripted_server.url))
+    with pytest.raises(TransportError) as excinfo:
+        backend.complete(ChatRequest(backend="rb", user="u"))
+    assert excinfo.value.attempts == 3
+    assert len(scripted_server.requests) == 3
 
 
 def test_remote_malformed_body(scripted_server):

@@ -1,5 +1,6 @@
 """Capability profiles: accumulation, normalization, selection, persistence."""
 
+import datetime
 import json
 
 import pytest
@@ -254,6 +255,20 @@ def test_store_save_deterministic_bytes(tmp_path):
     save_profiles(store, tmp_path / "a.json")
     save_profiles(store, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_store_bytes_do_not_depend_on_the_date(tmp_path, monkeypatch):
+    for day in (1, 2):
+
+        class FixedDate(datetime.date):
+            @classmethod
+            def today(cls):
+                return cls(2026, 1, day)
+
+        monkeypatch.setattr(datetime, "date", FixedDate)
+        store = run_profiling(two_model_pool(), three_records(), echo_mute_client())
+        save_profiles(store, tmp_path / f"day{day}.json")
+    assert (tmp_path / "day1.json").read_bytes() == (tmp_path / "day2.json").read_bytes()
 
 
 def test_load_version_mismatch(tmp_path):

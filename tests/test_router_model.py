@@ -195,9 +195,9 @@ def test_forward_tape_matches_wrappers():
     h_q = np.random.default_rng(9).standard_normal(4)
     tape = ForwardTape(params, h_q)
     x0 = init_node_features(params, h_q)
-    assert np.array_equal(tape.x0.data, x0)
-    assert np.array_equal(tape.x_final.data, message_pass(params, x0))
-    via_predict = predict(params, tape.x_final.data, h_q)
+    assert np.array_equal(tape.x0, x0)
+    assert np.array_equal(tape.x_final, message_pass(params, x0))
+    via_predict = predict(params, tape.x_final, h_q)
     full = tape.output()
     assert np.array_equal(full.node_probs, via_predict.node_probs)
     assert np.array_equal(full.edge_probs, via_predict.edge_probs)

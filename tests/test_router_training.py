@@ -35,8 +35,6 @@ def test_train_config_guards():
     with pytest.raises(ValueError):
         TrainConfig(adam_eps=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=2)
-    with pytest.raises(ValueError):
         TrainConfig(loss=LossConfig(lambda_node=0.0, lambda_edge=0.0))
 
 

@@ -1,25 +1,16 @@
 """Question embedding providers.
 
 The router consumes a dense question vector from a provider with a declared,
-fixed dimension. Two providers are shipped: a bit-exact offline feature-hashing
-embedder (tests, desk-scale training) and a client for a remote
-OpenAI-compatible embeddings endpoint.
+fixed dimension. The shipped provider is a bit-exact offline feature-hashing
+embedder; its descriptor is stored in router checkpoints so the CLI can
+rebuild it.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import re
-import time
-from dataclasses import dataclass
 
 import numpy as np
-import requests
-
-from .errors import AuthError, TransportError
-
-logger = logging.getLogger(__name__)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -70,72 +61,3 @@ class HashedEmbedder:
 
     def describe(self) -> str:
         return f"hashed(d={self.d})"
-
-
-@dataclass
-class RemoteEmbedderConfig:
-    """Connection settings for an OpenAI-compatible embeddings endpoint."""
-
-    url: str
-    model: str
-    dim: int
-    key_env: str = "SDAG_EMBED_API_KEY"
-    timeout_ms: int = 30_000
-    retries: int = 3
-    backoff_s: float = 0.5
-
-
-class RemoteEmbedder:
-    """Client for a remote embeddings endpoint with retry and backoff.
-
-    Sends {"model": ..., "input": [text]} and reads data[0].embedding from
-    the response. The declared dimension is enforced on every reply.
-    """
-
-    def __init__(self, config: RemoteEmbedderConfig, session: requests.Session | None = None):
-        self.config = config
-        self.d = config.dim
-        self._session = session or requests.Session()
-
-    def embed(self, text: str) -> np.ndarray:
-        cfg = self.config
-        key = os.environ.get(cfg.key_env, "")
-        if not key:
-            raise AuthError(f"credential env var {cfg.key_env} is not set")
-        body = {"model": cfg.model, "input": [text]}
-        headers = {"Authorization": f"Bearer {key}"}
-        if cfg.retries < 1:
-            raise ValueError("retries is the total attempt budget and must be >= 1")
-        last_error: Exception | None = None
-        attempts = 0
-        for attempt in range(cfg.retries):
-            attempts = attempt + 1
-            try:
-                resp = self._session.post(
-                    cfg.url, json=body, headers=headers, timeout=cfg.timeout_ms / 1000.0
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-            else:
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"embeddings endpoint rejected credentials ({resp.status_code})")
-                if resp.status_code == 200:
-                    values = resp.json()["data"][0]["embedding"]
-                    vec = np.asarray(values, dtype=np.float64)
-                    if vec.shape != (cfg.dim,):
-                        raise TransportError(
-                            f"embedding dimension {vec.shape[0]} != declared {cfg.dim}",
-                            attempts=attempts,
-                        )
-                    if not np.all(np.isfinite(vec)):
-                        raise TransportError("non-finite embedding values", attempts=attempts)
-                    return vec
-                last_error = TransportError(f"HTTP {resp.status_code}", attempts=attempts)
-            if attempt < cfg.retries - 1:
-                time.sleep(cfg.backoff_s * (2**attempt))
-        raise TransportError(
-            f"embeddings call failed after {attempts} attempts: {last_error}", attempts=attempts
-        )
-
-    def describe(self) -> str:
-        return f"remote({self.config.model}, d={self.config.dim})"

@@ -3,9 +3,9 @@
 Roles follow graph position: sources are subject experts, intermediate nodes
 are supporting agents, sinks are dominant agents. Each node's prompt embeds
 its upstream replies, nodes with satisfied dependencies run concurrently, and
-the final answer is extracted from the highest-scoring sink's reply. Also
-provides the fully-connected two-round baseline and the single-model CoT
-baseline.
+the final answer is extracted from the highest-scoring sink's reply. The
+fully-connected two-round baseline and the single-model CoT baseline run
+through the same plan runner, as graphs of dependent agent calls.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from .backends import ChatClient, ChatRequest, ChatResponse
-from .errors import NoRuleMatched, RoleInputMismatch, SdagError, TransportError
+from .backends import ChatClient, ChatRequest
+from .errors import RoleInputMismatch, TransportError
 from .subjects import QuestionRecord, SDag, SDagNode, Subject
 
 logger = logging.getLogger(__name__)
@@ -231,69 +233,97 @@ def _question_id(question: QuestionRecord | str) -> str:
     return question.id if isinstance(question, QuestionRecord) else ""
 
 
-@dataclass
-class _NodeResult:
-    record: TraceRecord
-    contribution: str
-    sim_finish: float
+# -- execution plans --------------------------------------------------------
 
 
-def _call_node(
-    client: ChatClient,
-    backend: str,
-    model_id: str,
-    subject: Subject | None,
-    role_label: str,
-    prompt: str,
-    metadata: dict,
-    sim_start: float,
-    round_index: int = 0,
-    t0: float | None = None,
-) -> _NodeResult:
-    """One agent call with failure containment and timeline bookkeeping."""
-    request = ChatRequest(backend=backend, user=prompt, metadata=metadata)
-    real_start = time.monotonic() - t0 if t0 is not None else 0.0
-    try:
-        response: ChatResponse = client.complete(request)
-    except (TransportError, NoRuleMatched, SdagError) as exc:
-        logger.warning("node %s (%s) failed: %s", subject.value if subject else "-",
-                       model_id, exc)
-        attempts = getattr(exc, "attempts", 1)
-        finish = sim_start if t0 is None else time.monotonic() - t0
-        record = TraceRecord(
-            subject=subject.value if subject else "",
-            role=role_label,
-            model_id=model_id,
-            backend=backend,
-            prompt=prompt,
-            reply="",
-            latency=0.0,
-            attempts=attempts,
-            failed=True,
-            round=round_index,
-            sim_start=sim_start if t0 is None else real_start,
-            sim_finish=finish,
-        )
-        return _NodeResult(record=record, contribution=UNAVAILABLE, sim_finish=finish)
+@dataclass(frozen=True)
+class _PlanNode:
+    """One agent call: who answers, what it waits for, how its prompt reads.
+
+    `deps` index earlier nodes of the same plan; `render` turns their
+    (subject, contribution) pairs, in `deps` order, into the prompt.
+    """
+
+    subject: Subject | None
+    role: str
+    round: int
+    model_id: str
+    backend: str
+    deps: tuple[int, ...]
+    render: Callable[[list[tuple[Subject, str]]], str]
+
+
+def _call_node(client: ChatClient, node: _PlanNode, upstream: list[tuple[Subject, Future]],
+               metadata: dict, t0: float | None) -> TraceRecord:
+    """Wait for the dependencies, then make the node's one call.
+
+    The node starts when its last dependency finishes (simulated time) or
+    when it actually starts (measured time, t0 set). Transport failures and
+    timeouts become a failed record that contributes UNAVAILABLE downstream;
+    every other error is a misconfiguration and propagates.
+    """
+    done = [(s, f.result()) for s, f in upstream]
+    prompt = node.render([(s, UNAVAILABLE if r.failed else r.reply) for s, r in done])
     if t0 is None:
-        start, finish = sim_start, sim_start + response.latency
+        start = max((r.sim_finish for _, r in done), default=0.0)
     else:
-        start, finish = real_start, time.monotonic() - t0
-    record = TraceRecord(
-        subject=subject.value if subject else "",
-        role=role_label,
-        model_id=model_id,
-        backend=backend,
+        start = time.monotonic() - t0
+    request = ChatRequest(backend=node.backend, user=prompt, metadata=metadata)
+    try:
+        response = client.complete(request)
+    except TransportError as exc:
+        logger.warning("node %s (%s) failed: %s", node.subject.value if node.subject else "-",
+                       node.model_id, exc)
+        reply, latency, attempts, failed = "", 0.0, exc.attempts, True
+    else:
+        reply, latency, attempts, failed = (
+            response.text, response.latency, response.attempts, False
+        )
+    return TraceRecord(
+        subject=node.subject.value if node.subject else "",
+        role=node.role,
+        model_id=node.model_id,
+        backend=node.backend,
         prompt=prompt,
-        reply=response.text,
-        latency=response.latency,
-        attempts=response.attempts,
-        failed=False,
-        round=round_index,
+        reply=reply,
+        latency=latency,
+        attempts=attempts,
+        failed=failed,
+        round=node.round,
         sim_start=start,
-        sim_finish=finish,
+        sim_finish=start + latency if t0 is None else time.monotonic() - t0,
     )
-    return _NodeResult(record=record, contribution=response.text, sim_finish=finish)
+
+
+def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRecord | str,
+              client: ChatClient, extra_metadata: dict | None) -> ExecutionTrace:
+    """Run every plan node once after its dependencies; answer from plan[final].
+
+    The pool has one thread per node and nodes are submitted in plan order,
+    so every dependency a worker blocks on already holds a thread of its own.
+    """
+    q_id = _question_id(question)
+    extra = extra_metadata or {}
+    simulated = client.all_simulated
+    t0 = None if simulated else time.monotonic()
+    with ThreadPoolExecutor(max_workers=len(plan)) as executor:
+        futures: list[Future] = []
+        for node in plan:
+            subject = {} if node.subject is None else {"subject": node.subject.value}
+            metadata = {"question_id": q_id, **subject, "role": node.role, **extra}
+            upstream = [(plan[i].subject, futures[i]) for i in node.deps]
+            futures.append(executor.submit(_call_node, client, node, upstream, metadata, t0))
+        records = [f.result() for f in futures]
+    answer = records[final]
+    return ExecutionTrace(
+        mode=mode,
+        records=records,
+        final_answer=None if answer.failed else extract_answer(answer.reply),
+        final_subject=answer.subject or None,
+        llm_calls=len(records),
+        wall_time=max(r.sim_finish for r in records) if simulated else time.monotonic() - t0,
+        simulated=simulated,
+    )
 
 
 def _resolve_backend(selection: dict[Subject, str], pool_backends: dict[str, str],
@@ -303,6 +333,13 @@ def _resolve_backend(selection: dict[Subject, str], pool_backends: dict[str, str
     if backend is None:
         raise ValueError(f"no backend configured for model {model_id!r}")
     return model_id, backend
+
+
+def _render_revision(role: AgentRole, subject: Subject, question: str, is_final: bool,
+                     round_one: list[tuple[Subject, str]]) -> str:
+    """fcg round-2 prompt: the node's own round-1 reply is not among its peers."""
+    peers = [(s, content) for s, content in round_one if s != subject]
+    return render_prompt(role, subject, question, peers, append_answer_format=is_final)
 
 
 def pick_final_node(g: SDag, roles: dict[Subject, AgentRole]) -> Subject:
@@ -327,60 +364,17 @@ def execute_dag(
     roles = assign_roles(g)
     final_subject = pick_final_node(g, roles)
     q_text = question_block(question)
-    q_id = _question_id(question)
-    extra = extra_metadata or {}
     order = g.topological_order()
-    simulated = client.all_simulated
-    t0 = None if simulated else time.monotonic()
-
-    results: dict[Subject, _NodeResult] = {}
-
-    def run_node(s: Subject, futures: dict) -> _NodeResult:
-        upstream = []
-        sim_start = 0.0
-        for dep in g.in_neighbors(s):
-            dep_result: _NodeResult = futures[dep].result()
-            upstream.append((dep, dep_result.contribution))
-            sim_start = max(sim_start, dep_result.sim_finish)
-        role = roles[s]
-        template_role = role if upstream else AgentRole.SUBJECT_EXPERT
-        prompt = render_prompt(
-            template_role,
-            s,
-            q_text,
-            upstream,
-            append_answer_format=True if s == final_subject else None,
-        )
+    position = {s: i for i, s in enumerate(order)}
+    plan = []
+    for s in order:
+        deps = tuple(position[d] for d in g.in_neighbors(s))
+        template = roles[s] if deps else AgentRole.SUBJECT_EXPERT
+        render = partial(render_prompt, template, s, q_text,
+                         append_answer_format=True if s == final_subject else None)
         model_id, backend = _resolve_backend(selection, pool_backends, s)
-        metadata = {"question_id": q_id, "subject": s.value, "role": role.value, **extra}
-        return _call_node(
-            client, backend, model_id, s, role.value, prompt, metadata, sim_start, t0=t0
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, len(order))) as executor:
-        futures: dict = {}
-        for s in order:
-            futures[s] = executor.submit(run_node, s, futures)
-        for s in order:
-            results[s] = futures[s].result()
-
-    records = [results[s].record for s in order]
-    final_result = results[final_subject]
-    final_answer = None if final_result.record.failed else extract_answer(
-        final_result.record.reply
-    )
-    wall = max((r.sim_finish for r in results.values()), default=0.0) if simulated else (
-        time.monotonic() - t0
-    )
-    return ExecutionTrace(
-        mode="sdag",
-        records=records,
-        final_answer=final_answer,
-        final_subject=final_subject.value,
-        llm_calls=len(records),
-        wall_time=wall,
-        simulated=simulated,
-    )
+        plan.append(_PlanNode(s, roles[s].value, 0, model_id, backend, deps, render))
+    return _run_plan("sdag", plan, position[final_subject], question, client, extra_metadata)
 
 
 def execute_fcg(
@@ -391,7 +385,11 @@ def execute_fcg(
     client: ChatClient,
     extra_metadata: dict | None = None,
 ) -> ExecutionTrace:
-    """Fully connected baseline: answer round then revision round, 2n calls."""
+    """Fully connected baseline: answer round then revision round, 2n calls.
+
+    Every round-2 node depends on every round-1 node, its own included, so
+    the revision round starts at the round-1 barrier.
+    """
     if not nodes:
         raise ValueError("fully connected execution needs at least one node")
     nodes = sorted(nodes, key=lambda n: n.subject.index)
@@ -403,73 +401,22 @@ def execute_fcg(
         raise ValueError(f"selection covers no model for: {missing}")
     final_subject = max(nodes, key=lambda n: (n.score, -n.subject.index)).subject
     q_text = question_block(question)
-    q_id = _question_id(question)
-    extra = extra_metadata or {}
-    simulated = client.all_simulated
-    t0 = None if simulated else time.monotonic()
-
-    def run_round_one(s: Subject) -> _NodeResult:
-        prompt = render_prompt(AgentRole.SUBJECT_EXPERT, s, q_text, [])
-        model_id, backend = _resolve_backend(selection, pool_backends, s)
-        metadata = {
-            "question_id": q_id, "subject": s.value,
-            "role": AgentRole.SUBJECT_EXPERT.value, **extra,
-        }
-        return _call_node(
-            client, backend, model_id, s, AgentRole.SUBJECT_EXPERT.value, prompt,
-            metadata, 0.0, round_index=1, t0=t0,
-        )
-
-    with ThreadPoolExecutor(max_workers=len(subjects)) as executor:
-        round_one = list(executor.map(run_round_one, subjects))
-    round_one_by_subject = dict(zip(subjects, round_one))
-    barrier = max((r.sim_finish for r in round_one), default=0.0)
-
-    def run_round_two(s: Subject) -> _NodeResult:
-        peers = [
-            (p, round_one_by_subject[p].contribution) for p in subjects if p != s
-        ]
-        is_final = s == final_subject
-        if peers:
-            prompt = render_prompt(
-                AgentRole.SUPPORTING, s, q_text, peers,
-                append_answer_format=True if is_final else None,
-            )
-            role_label = AgentRole.SUPPORTING.value
-        else:
-            # Single-agent graph: revision round repeats the expert template.
-            prompt = render_prompt(
-                AgentRole.SUBJECT_EXPERT, s, q_text, [], append_answer_format=is_final
-            )
-            role_label = AgentRole.SUBJECT_EXPERT.value
-        model_id, backend = _resolve_backend(selection, pool_backends, s)
-        metadata = {"question_id": q_id, "subject": s.value, "role": role_label, **extra}
-        return _call_node(
-            client, backend, model_id, s, role_label, prompt, metadata, barrier,
-            round_index=2, t0=t0,
-        )
-
-    with ThreadPoolExecutor(max_workers=len(subjects)) as executor:
-        round_two = list(executor.map(run_round_two, subjects))
-    round_two_by_subject = dict(zip(subjects, round_two))
-
-    records = [r.record for r in round_one] + [r.record for r in round_two]
-    final_result = round_two_by_subject[final_subject]
-    final_answer = None if final_result.record.failed else extract_answer(
-        final_result.record.reply
-    )
-    wall = max((r.sim_finish for r in round_two), default=0.0) if simulated else (
-        time.monotonic() - t0
-    )
-    return ExecutionTrace(
-        mode="fcg",
-        records=records,
-        final_answer=final_answer,
-        final_subject=final_subject.value,
-        llm_calls=len(records),
-        wall_time=wall,
-        simulated=simulated,
-    )
+    expert = AgentRole.SUBJECT_EXPERT
+    # A single-agent graph has no peers: its revision repeats the expert template.
+    reviser = AgentRole.SUPPORTING if len(subjects) > 1 else expert
+    resolved = [_resolve_backend(selection, pool_backends, s) for s in subjects]
+    round_one = tuple(range(len(subjects)))
+    plan = [
+        _PlanNode(s, expert.value, 1, model_id, backend, (),
+                  partial(render_prompt, expert, s, q_text))
+        for s, (model_id, backend) in zip(subjects, resolved)
+    ] + [
+        _PlanNode(s, reviser.value, 2, model_id, backend, round_one,
+                  partial(_render_revision, reviser, s, q_text, s == final_subject))
+        for s, (model_id, backend) in zip(subjects, resolved)
+    ]
+    final = len(subjects) + subjects.index(final_subject)
+    return _run_plan("fcg", plan, final, question, client, extra_metadata)
 
 
 def execute_single_cot(
@@ -481,22 +428,5 @@ def execute_single_cot(
 ) -> ExecutionTrace:
     """One chain-of-thought call with the baseline prompt."""
     prompt = render_single_cot_prompt(question)
-    q_id = _question_id(question)
-    extra = extra_metadata or {}
-    simulated = client.all_simulated
-    t0 = None if simulated else time.monotonic()
-    metadata = {"question_id": q_id, "role": "SingleCoT", **extra}
-    result = _call_node(
-        client, backend, model_id, None, "SingleCoT", prompt, metadata, 0.0, t0=t0
-    )
-    final_answer = None if result.record.failed else extract_answer(result.record.reply)
-    wall = result.sim_finish if simulated else time.monotonic() - t0
-    return ExecutionTrace(
-        mode="single_cot",
-        records=[result.record],
-        final_answer=final_answer,
-        final_subject=None,
-        llm_calls=1,
-        wall_time=wall,
-        simulated=simulated,
-    )
+    plan = [_PlanNode(None, "SingleCoT", 0, model_id, backend, (), lambda _: prompt)]
+    return _run_plan("single_cot", plan, 0, question, client, extra_metadata)

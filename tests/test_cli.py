@@ -374,6 +374,26 @@ def test_missing_data_file_exits_two(pipeline):
     assert code == 2
 
 
+def test_eval_with_unset_api_key_exits_two(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SDAG_TEST_UNSET_KEY", raising=False)
+    backends = tmp_path / "remote_backends.json"
+    backends.write_text(json.dumps({"backends": [{
+        "name": "mock-expert", "kind": "remote", "model": "m",
+        "url": "http://127.0.0.1:9/v1/chat/completions", "key_env": "SDAG_TEST_UNSET_KEY",
+    }]}), encoding="utf-8")
+    code, out = run_cli([
+        "eval",
+        "--mode", "no_gnn",
+        "--data", str(pipeline["curated"]),
+        "--pool", str(pipeline["pool"]),
+        "--backends", str(backends),
+        "--profiles", str(pipeline["profiles"]),
+    ])
+    assert code == 2
+    assert out == ""
+    assert "SDAG_TEST_UNSET_KEY is not set" in capsys.readouterr().err
+
+
 def test_verbose_flag_accepted(workspace, tmp_path):
     logging.getLogger().setLevel(logging.WARNING)
     code, _ = run_cli(

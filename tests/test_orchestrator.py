@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdag.backends import BackendConfig, ChatRequest, build_client
-from sdag.errors import RoleInputMismatch
+from sdag.backends import BackendConfig, ChatClient, build_backend, build_client
+from sdag.errors import AuthError, NoRuleMatched, RoleInputMismatch, TransportError
 from sdag.orchestrator import (
     ANSWER_FORMAT_LINE,
     UNAVAILABLE,
@@ -243,13 +245,23 @@ def test_execute_four_node_bipartite():
     assert ANSWER_FORMAT_LINE not in physics.prompt
 
 
+class DeadBackend:
+    """Simulated backend whose every call exhausts its retry budget."""
+
+    config = BackendConfig(name="dead", kind="mock")
+    simulated = True
+
+    def complete(self, req):
+        raise TransportError("backend 'dead': all 3 attempts failed", attempts=3)
+
+
+def echo_and_dead_client():
+    echo = BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}])
+    return ChatClient({"echo": build_backend(echo), "dead": DeadBackend()})
+
+
 def test_execute_failed_support_becomes_unavailable():
-    client = build_client([
-        BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}]),
-        BackendConfig(name="dead", kind="mock", script=[
-            {"match": {"substring": "never-matches-anything"}, "reply": "x"}
-        ]),
-    ])
+    client = echo_and_dead_client()
     g = chain_dag()
     selection = {P: "model-p", M: "model-m"}
     backends = {"model-p": "dead", "model-m": "echo"}
@@ -258,21 +270,52 @@ def test_execute_failed_support_becomes_unavailable():
     assert physics.failed
     assert f"- Physics: {UNAVAILABLE}" in math.prompt
     assert trace.final_answer == "A"
+    assert (physics.attempts, physics.latency, physics.reply) == (3, 0.0, "")
+    assert physics.sim_finish == math.sim_start == 0.0
 
 
 def test_execute_failed_final_yields_no_answer():
-    client = build_client([
-        BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}]),
-        BackendConfig(name="dead", kind="mock", script=[
-            {"match": {"substring": "never-matches-anything"}, "reply": "x"}
-        ]),
-    ])
+    client = echo_and_dead_client()
     g = chain_dag()
     selection = {P: "model-p", M: "model-m"}
     backends = {"model-p": "echo", "model-m": "dead"}
     trace = execute_dag(g, "Q?", selection, backends, client)
     assert trace.final_answer is None
     assert trace.records[1].failed
+
+
+def test_unmatched_mock_script_propagates():
+    client = build_client([
+        BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}]),
+        BackendConfig(name="norule", kind="mock", script=[
+            {"match": {"substring": "never-matches-anything"}, "reply": "x"}
+        ]),
+    ])
+    selection = {P: "model-p", M: "model-m"}
+    backends = {"model-p": "norule", "model-m": "echo"}
+    with pytest.raises(NoRuleMatched):
+        execute_dag(chain_dag(), "Q?", selection, backends, client)
+
+
+def test_missing_api_key_propagates(monkeypatch):
+    monkeypatch.delenv("SDAG_TEST_UNSET_KEY", raising=False)
+    client = build_client([BackendConfig(
+        name="remote", kind="remote", url="http://127.0.0.1:9/v1/chat/completions",
+        model="m", key_env="SDAG_TEST_UNSET_KEY",
+    )])
+    with pytest.raises(AuthError):
+        execute_single_cot("Q?", "model-x", "remote", client)
+
+
+def test_unknown_backend_model_fails_before_any_call():
+    client = echo_client()
+    # Physics runs first, but Math's model has no backend: nothing is called.
+    with pytest.raises(ValueError, match="mm"):
+        execute_dag(chain_dag(), "Q?", {P: "mp", M: "mm"}, {"mp": "echo"}, client)
+    assert client.counter.total == 0
+    with pytest.raises(ValueError, match="mm"):
+        execute_fcg(list(chain_dag().nodes), "Q?", {P: "mp", M: "mm"}, {"mp": "echo"}, client)
+    assert client.counter.total == 0
 
 
 def test_execute_dag_missing_selection():
@@ -392,3 +435,40 @@ def test_trace_jsonl_format(tmp_path):
     assert summary["mode"] == "sdag"
     assert summary["llm_calls"] == 2
     assert summary["final_answer"] == "A"
+
+
+# -- properties over random DAGs ---------------------------------------------
+
+
+@st.composite
+def random_dags(draw):
+    """A DAG over 1-6 distinct subjects; edges only run forward in a shuffle."""
+    pool = [s for s in Subject if s is not Subject.OTHER]
+    order = draw(st.permutations(pool))[: draw(st.integers(1, 6))]
+    scores = draw(st.lists(st.floats(0.01, 1.0), min_size=len(order), max_size=len(order)))
+    edges = [
+        SDagEdge(order[i], order[j], 1.0)
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if draw(st.booleans())
+    ]
+    return SDag(nodes=[SDagNode(s, w) for s, w in zip(order, scores)], edges=edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_dags())
+def test_execute_dag_properties(g):
+    selection, backends = pool_for(g.subjects())
+    trace = execute_dag(g, "Q?", selection, backends, echo_client())
+    assert trace.llm_calls == len(g.nodes) == len(trace.records)
+    assert [r.subject for r in trace.records] == [s.value for s in g.topological_order()]
+    by_subject = {r.subject: r for r in trace.records}
+    for edge in g.edges:
+        src, dst = by_subject[edge.src.value], by_subject[edge.dst.value]
+        assert trace.records.index(src) < trace.records.index(dst)
+    for record in trace.records:
+        preds = g.in_neighbors(Subject(record.subject))
+        assert record.sim_start == max(
+            (by_subject[p.value].sim_finish for p in preds), default=0.0
+        )
+    assert trace.wall_time == max(r.sim_finish for r in trace.records)

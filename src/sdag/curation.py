@@ -121,15 +121,11 @@ def _truncate_to_cap(weights: SubjectWeights) -> SubjectWeights:
 class CurationConfig:
     backend: str = "annotator"
     seed: int = 0
-    min_subjects: int = 2
     profiling_size: int = 200
     train_ratio: float = 0.7
     profiling_from_test: bool = False
 
     def __post_init__(self):
-        # Finalized annotations carry 2-5 subjects; the bar can only be raised.
-        if self.min_subjects < 2:
-            raise ValueError("min_subjects must be >= 2")
         if self.profiling_size < 0:
             raise ValueError("profiling_size must be >= 0")
         if not (0.0 < self.train_ratio < 1.0):
@@ -245,7 +241,7 @@ def curate_dataset(
             skipped.append((record.id, "no_consensus"))
             continue
         merged = _truncate_to_cap(merged)
-        if len(merged) < cfg.min_subjects:
+        if len(merged) < 2:
             skipped.append((record.id, "single_subject"))
             continue
         check_weights(merged, finalized=True)

@@ -302,6 +302,9 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
     The pool has one thread per node and nodes are submitted in plan order,
     so every dependency a worker blocks on already holds a thread of its own.
     """
+    unknown = sorted({n.backend for n in plan} - set(client.backends))
+    if unknown:
+        raise ValueError(f"unknown backend: {unknown}")
     q_id = _question_id(question)
     extra = extra_metadata or {}
     simulated = client.all_simulated

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import CorruptCheckpoint, VersionMismatch
 from .model import RouterDims, RouterParams, tensor_shapes
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(params: RouterParams, path: str | Path) -> None:

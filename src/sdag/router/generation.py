@@ -25,13 +25,10 @@ _OTHER_INDEX = Subject.OTHER.index
 class GenerationConfig:
     node_threshold: float = 0.5
     edge_threshold: float = 0.5
-    max_nodes: int = MAX_DAG_NODES
 
     def __post_init__(self):
         if not (0.0 <= self.node_threshold < 1.0 and 0.0 <= self.edge_threshold < 1.0):
             raise ValueError("thresholds must lie in [0, 1)")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
 
 
 def _best(indices: list[int], probs: Array) -> int:
@@ -42,8 +39,8 @@ def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig)
     """Apply node/edge thresholds, the node cap, and acyclicity repair."""
     probs = np.asarray(node_probs, dtype=np.float64)
     kept = [i for i in range(len(SUBJECTS)) if probs[i] > config.node_threshold]
-    if len(kept) > config.max_nodes:
-        kept = sorted(kept, key=lambda i: (-probs[i], i))[: config.max_nodes]
+    if len(kept) > MAX_DAG_NODES:
+        kept = sorted(kept, key=lambda i: (-probs[i], i))[:MAX_DAG_NODES]
     if not kept:
         kept = [_best(list(range(len(SUBJECTS))), probs)]
     kept = [i for i in kept if i != _OTHER_INDEX]

@@ -1,9 +1,9 @@
 """The trainable routing network: parameters, forward and backward pass.
 
 Every subject node starts from a learned subject embedding fused with the
-question embedding, is refined by directional message passing over the fully
-connected subject graph, and feeds two classifier heads: one scoring subject
-relevance, one scoring each ordered subject pair as a dependency edge.
+question embedding, is refined by layers that each combine its state with the
+mean of the other 14 states, and feeds two classifier heads: one scoring
+subject relevance, one scoring each ordered subject pair as a dependency edge.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def tensor_shapes(dims: RouterDims) -> dict[str, tuple[int, ...]]:
     }
     for layer in range(dims.L):
         shapes[f"mp{layer}.w_self"] = (dims.h, dims.h)
-        shapes[f"mp{layer}.w_in"] = (dims.h, dims.h)
-        shapes[f"mp{layer}.w_out"] = (dims.h, dims.h)
+        shapes[f"mp{layer}.w_msg"] = (dims.h, dims.h)
         shapes[f"mp{layer}.b"] = (dims.h,)
     shapes.update(
         {
@@ -102,12 +101,18 @@ class RouterParams:
 def init_params(
     dims: RouterDims, seed: int = 0, scale: float = 0.1, embedder: str | None = None
 ) -> RouterParams:
-    """Draw weights from a seeded normal (scale 0.1); biases start at zero."""
+    """Draw weights from a seeded normal (scale 0.1); biases start at zero.
+
+    Each `mp{l}.w_msg` is the sum of two consecutive draws, so a seed starts
+    the same router as it did under checkpoint version 1.
+    """
     rng = np.random.default_rng(seed)
     tensors: dict[str, Array] = {}
     for name, shape in tensor_shapes(dims).items():
         if name.endswith((".b", ".b1", ".b2")):
             tensors[name] = np.zeros(shape)
+        elif name.endswith(".w_msg"):
+            tensors[name] = rng.standard_normal(shape) * scale + rng.standard_normal(shape) * scale
         else:
             tensors[name] = rng.standard_normal(shape) * scale
     return RouterParams(dims=dims, tensors=tensors, seed=seed, embedder=embedder)
@@ -166,9 +171,7 @@ def _layer_stage(params: RouterParams, layer: int, x: Array) -> tuple[Array, Arr
     t = params.tensors
     # Row i is the mean of every row except i.
     mean = (x.sum(axis=0) - x) / (NUM_SUBJECTS - 1)
-    # w_in and w_out act on the same symmetric mean, so only their sum matters.
-    w_msg = t[f"mp{layer}.w_in"] + t[f"mp{layer}.w_out"]
-    pre = x @ t[f"mp{layer}.w_self"] + mean @ w_msg + t[f"mp{layer}.b"]
+    pre = x @ t[f"mp{layer}.w_self"] + mean @ t[f"mp{layer}.w_msg"] + t[f"mp{layer}.b"]
     return mean, _activate(params.dims, pre)
 
 
@@ -235,7 +238,7 @@ def backward(tape: ForwardTape, d_node_logits: Array, d_edge_logits: Array) -> d
 
     `d_node_logits` has shape (15,); `d_edge_logits` is the 15 x 15 grid of
     `ForwardTape.edge_logits` and must have a zero diagonal. Gradients are
-    returned in tensor order; `mp{l}.w_in` and `mp{l}.w_out` get equal ones.
+    returned in tensor order.
     """
     t, dims = tape.params.tensors, tape.params.dims
     h = dims.h
@@ -264,10 +267,9 @@ def backward(tape: ForwardTape, d_node_logits: Array, d_edge_logits: Array) -> d
     for layer in reversed(range(dims.L)):
         d_pre = _activation_grad(dims, dx, tape.xs[layer + 1])
         g[f"mp{layer}.w_self"] = tape.xs[layer].T @ d_pre
-        g[f"mp{layer}.w_in"] = tape.means[layer].T @ d_pre
-        g[f"mp{layer}.w_out"] = g[f"mp{layer}.w_in"].copy()
+        g[f"mp{layer}.w_msg"] = tape.means[layer].T @ d_pre
         g[f"mp{layer}.b"] = d_pre.sum(axis=0)
-        d_mean = d_pre @ (t[f"mp{layer}.w_in"] + t[f"mp{layer}.w_out"]).T
+        d_mean = d_pre @ t[f"mp{layer}.w_msg"].T
         # The neighbour-mean operator is symmetric, hence its own transpose.
         dx = d_pre @ t[f"mp{layer}.w_self"].T + (d_mean.sum(axis=0) - d_mean) / (NUM_SUBJECTS - 1)
 

@@ -19,6 +19,10 @@ from .model import RouterDims, RouterParams, init_params
 
 Array = np.ndarray
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 logger = logging.getLogger(__name__)
 
 
@@ -41,11 +45,7 @@ class TrainSample:
 class TrainConfig:
     epochs: int = 30
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
@@ -53,10 +53,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
 
 
 @dataclass
@@ -67,25 +63,24 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, tensors: dict[str, Array], config: TrainConfig):
-        self.config = config
+    def __init__(self, tensors: dict[str, Array], lr: float):
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in tensors.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
     def step(self, tensors: dict[str, Array], grads: dict[str, Array]) -> None:
-        cfg = self.config
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            tensors[name] -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            tensors[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def train(
@@ -95,14 +90,13 @@ def train(
     if not samples:
         raise EmptySplit("no training samples")
     params = params.copy()
-    optimizer = _Adam(params.tensors, config)
+    optimizer = _Adam(params.tensors, config.lr)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(samples)) if config.shuffle else np.arange(len(samples))
         epoch_losses = []
-        for idx in order:
+        for idx in rng.permutation(len(samples)):
             sample = samples[idx]
             value, grads = loss_and_gradients(
                 params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss
@@ -121,7 +115,6 @@ def train_router(
     embedder,
     config: TrainConfig = TrainConfig(),
     dims: RouterDims | None = None,
-    init_scale: float = 0.1,
 ) -> TrainResult:
     """End-to-end training from (question, target DAG) pairs.
 
@@ -132,6 +125,6 @@ def train_router(
         raise EmptySplit("no training samples")
     if dims is None:
         dims = RouterDims(d_q=embedder.d)
-    params = init_params(dims, seed=config.seed, scale=init_scale, embedder=embedder.describe())
+    params = init_params(dims, seed=config.seed, embedder=embedder.describe())
     samples = [TrainSample.from_dag(embedder.embed(question), dag) for question, dag in dataset]
     return train(params, samples, config)

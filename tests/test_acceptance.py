@@ -106,8 +106,7 @@ def min_relu_preactivation(params, h_q):
         nm = MEAN_OP @ x
         pre = (
             x @ p[f"mp{layer}.w_self"]
-            + nm @ p[f"mp{layer}.w_in"]
-            + nm @ p[f"mp{layer}.w_out"]
+            + nm @ p[f"mp{layer}.w_msg"]
             + p[f"mp{layer}.b"]
         )
         mins.append(np.abs(pre).min())

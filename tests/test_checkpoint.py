@@ -33,12 +33,13 @@ def test_save_is_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_version_mismatch(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_version_mismatch(tmp_path, version):
     params = init_params(DIMS, seed=0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(params, path)
     payload = json.loads(path.read_text())
-    payload["version"] = 99
+    payload["version"] = version
     path.write_text(json.dumps(payload))
     with pytest.raises(VersionMismatch):
         load_checkpoint(path)

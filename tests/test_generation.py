@@ -30,8 +30,6 @@ def test_config_guards():
         GenerationConfig(node_threshold=1.0)
     with pytest.raises(ValueError):
         GenerationConfig(edge_threshold=-0.1)
-    with pytest.raises(ValueError):
-        GenerationConfig(max_nodes=0)
 
 
 def test_threshold_and_repair_example():

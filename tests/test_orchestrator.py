@@ -316,6 +316,17 @@ def test_unknown_backend_model_fails_before_any_call():
     with pytest.raises(ValueError, match="mm"):
         execute_fcg(list(chain_dag().nodes), "Q?", {P: "mp", M: "mm"}, {"mp": "echo"}, client)
     assert client.counter.total == 0
+    # Math's backend is configured but the client has no backend by that name.
+    backends = {"mp": "echo", "mm": "nosuch"}
+    with pytest.raises(ValueError, match="nosuch"):
+        execute_dag(chain_dag(), "Q?", {P: "mp", M: "mm"}, backends, client)
+    assert client.counter.total == 0
+    with pytest.raises(ValueError, match="nosuch"):
+        execute_fcg(list(chain_dag().nodes), "Q?", {P: "mp", M: "mm"}, backends, client)
+    assert client.counter.total == 0
+    with pytest.raises(ValueError, match="nosuch"):
+        execute_single_cot("Q?", "mm", "nosuch", client)
+    assert client.counter.total == 0
 
 
 def test_execute_dag_missing_selection():

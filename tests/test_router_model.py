@@ -43,8 +43,7 @@ def test_tensor_shapes_naming_scheme():
     assert shapes["init.b"] == (8,)
     for layer in range(3):
         assert shapes[f"mp{layer}.w_self"] == (8, 8)
-        assert shapes[f"mp{layer}.w_in"] == (8, 8)
-        assert shapes[f"mp{layer}.w_out"] == (8, 8)
+        assert shapes[f"mp{layer}.w_msg"] == (8, 8)
         assert shapes[f"mp{layer}.b"] == (8,)
     assert "mp3.w_self" not in shapes
     assert shapes["node_head.w2"] == (8, 1)
@@ -142,7 +141,7 @@ def test_message_pass_identity_configuration():
 
 def test_message_pass_mean_of_identical_neighbors():
     dims = RouterDims(d_s=3, d_q=3, h=3, L=1, activation="linear")
-    params = zero_params(dims, **{"mp0.w_in": np.eye(3)})
+    params = zero_params(dims, **{"mp0.w_msg": np.eye(3)})
     v = np.array([1.0, -2.0, 3.0])
     x = np.tile(v, (15, 1))
     out = message_pass(params, x)

@@ -123,6 +123,9 @@ def evaluate(
         raise EmptySplit("no questions to evaluate")
     if not pool:
         raise ValueError("empty model pool")
+    unknown = sorted({e.backend for e in pool} - set(client.backends))
+    if unknown:
+        raise ValueError(f"pool names unknown backends: {unknown}")
     records = sorted(records, key=lambda r: r.id)
     pool_backends = {e.model_id: e.backend for e in pool}
     model_ids = sorted(pool_backends)

@@ -2,10 +2,18 @@
 
 Roles follow graph position: sources are subject experts, intermediate nodes
 are supporting agents, sinks are dominant agents. Each node's prompt embeds
-its upstream replies, nodes with satisfied dependencies run concurrently, and
-the final answer is extracted from the highest-scoring sink's reply. The
-fully-connected two-round baseline and the single-model CoT baseline run
-through the same plan runner, as graphs of dependent agent calls.
+its upstream replies, and the final answer is extracted from the
+highest-scoring sink's reply. The fully-connected two-round baseline and the
+single-model CoT baseline run through the same plan runner, as graphs of
+dependent agent calls.
+
+The runner has two schedules. When every backend is simulated, nodes run one
+after another in plan order on the caller's thread: plan order is
+topological, mock replies and latencies are pure functions of the request,
+and start times come from the dependencies' simulated finish times, so the
+trace is the one a concurrent run would give. With any live backend, every
+node gets a thread of its own and nodes with satisfied dependencies run
+concurrently.
 """
 
 from __future__ import annotations
@@ -295,12 +303,35 @@ def _call_node(client: ChatClient, node: _PlanNode, upstream: list[tuple[Subject
     )
 
 
+class _InlineExecutor:
+    """Runs each submitted call at once on the caller's thread."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRecord | str,
               client: ChatClient, extra_metadata: dict | None) -> ExecutionTrace:
     """Run every plan node once after its dependencies; answer from plan[final].
 
-    The pool has one thread per node and nodes are submitted in plan order,
-    so every dependency a worker blocks on already holds a thread of its own.
+    Simulated clients run the nodes inline, in plan order: plan order is
+    topological and mocks are pure functions of the request, so each node's
+    dependencies have finished and the trace matches a concurrent run. The
+    first node that raises ends the plan, and later nodes make no call.
+
+    Live clients get one thread per node, with nodes submitted in plan order,
+    so a worker only ever blocks on dependencies that already hold threads of
+    their own. When a node raises, its dependents never call, while calls
+    already in flight on the other nodes still finish before the error
+    propagates.
     """
     unknown = sorted({n.backend for n in plan} - set(client.backends))
     if unknown:
@@ -309,7 +340,8 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
     extra = extra_metadata or {}
     simulated = client.all_simulated
     t0 = None if simulated else time.monotonic()
-    with ThreadPoolExecutor(max_workers=len(plan)) as executor:
+    executor = _InlineExecutor() if simulated else ThreadPoolExecutor(max_workers=len(plan))
+    with executor:
         futures: list[Future] = []
         for node in plan:
             subject = {} if node.subject is None else {"subject": node.subject.value}

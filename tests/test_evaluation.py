@@ -1,5 +1,6 @@
 """Evaluation harness: mode wiring, determinism, aggregation, rendering."""
 
+import dataclasses
 import json
 
 import pytest
@@ -76,6 +77,20 @@ def test_empty_inputs(oracle_store):
         evaluate([], oracle_client(), oracle_pool(), EvalConfig(mode="single_cot"))
     with pytest.raises(ValueError):
         evaluate(eval_records(), oracle_client(), [], EvalConfig(mode="single_cot"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unknown_pool_backend_fails_before_any_call(mode, trained_router, oracle_store):
+    pool = oracle_pool()
+    pool[-1] = dataclasses.replace(pool[-1], backend="nosuch")
+    client = oracle_client()
+    with pytest.raises(ValueError, match="nosuch"):
+        evaluate(
+            eval_records(), client, pool, EvalConfig(mode=mode, seeds=1),
+            params=trained_router.params, embedder=trained_router.embedder,
+            store=oracle_store,
+        )
+    assert client.counter.total == 0
 
 
 # -- no_gnn -----------------------------------------------------------------

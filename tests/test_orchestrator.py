@@ -1,12 +1,14 @@
 """Role assignment, prompt rendering, DAG execution, and baselines."""
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdag.backends import BackendConfig, ChatClient, build_backend, build_client
+import sdag.orchestrator
+from sdag.backends import BackendConfig, ChatClient, ChatResponse, build_backend, build_client
 from sdag.errors import AuthError, NoRuleMatched, RoleInputMismatch, TransportError
 from sdag.orchestrator import (
     ANSWER_FORMAT_LINE,
@@ -297,6 +299,23 @@ def test_unmatched_mock_script_propagates():
         execute_dag(chain_dag(), "Q?", selection, backends, client)
 
 
+def test_unmatched_rule_on_first_source_stops_the_plan():
+    client = build_client([
+        BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}]),
+        BackendConfig(name="norule", kind="mock", script=[
+            {"match": {"substring": "never-matches-anything"}, "reply": "x"}
+        ]),
+    ])
+    g = diamond_dag()
+    first, second, _ = g.topological_order()
+    assert g.in_degree(first) == g.in_degree(second) == 0
+    selection, backends = pool_for([M, P, B])
+    backends[selection[first]] = "norule"
+    with pytest.raises(NoRuleMatched):
+        execute_dag(g, "Q?", selection, backends, client)
+    assert client.counter.total == 1
+
+
 def test_missing_api_key_propagates(monkeypatch):
     monkeypatch.delenv("SDAG_TEST_UNSET_KEY", raising=False)
     client = build_client([BackendConfig(
@@ -327,6 +346,50 @@ def test_unknown_backend_model_fails_before_any_call():
     with pytest.raises(ValueError, match="nosuch"):
         execute_single_cot("Q?", "mm", "nosuch", client)
     assert client.counter.total == 0
+
+
+class RendezvousBackend:
+    """Live backend whose subject-expert calls each wait for a second one."""
+
+    config = BackendConfig(name="live", kind="mock")
+    simulated = False
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def complete(self, req):
+        if req.metadata["role"] == AgentRole.SUBJECT_EXPERT.value:
+            self.barrier.wait()
+        return ChatResponse(text="<<A>>", latency=0.0, attempts=1, backend="live")
+
+
+def test_live_independent_sources_run_concurrently():
+    client = ChatClient({"live": RendezvousBackend()})
+    selection = {s: f"model-{s.value.lower()}" for s in (M, P, B)}
+    backends = {m: "live" for m in selection.values()}
+    trace = execute_dag(diamond_dag(), "Q?", selection, backends, client)
+    assert trace.llm_calls == 3 and not trace.simulated
+
+
+def test_live_fcg_round_one_runs_concurrently():
+    client = ChatClient({"live": RendezvousBackend()})
+    nodes = list(chain_dag().nodes)
+    selection = {n.subject: f"model-{n.subject.value.lower()}" for n in nodes}
+    backends = {m: "live" for m in selection.values()}
+    trace = execute_fcg(nodes, "Q?", selection, backends, client)
+    assert trace.llm_calls == 4 and not trace.simulated
+
+
+def test_simulated_plans_build_no_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a simulated plan built a thread pool")
+
+    monkeypatch.setattr(sdag.orchestrator, "ThreadPoolExecutor", no_pool)
+    selection, backends = pool_for([M, P, B])
+    assert execute_dag(diamond_dag(), "Q?", selection, backends, echo_client()).llm_calls == 3
+    nodes = list(diamond_dag().nodes)
+    assert execute_fcg(nodes, "Q?", selection, backends, echo_client()).llm_calls == 6
+    assert execute_single_cot("Q?", "model-x", "echo", echo_client()).llm_calls == 1
 
 
 def test_execute_dag_missing_selection():

@@ -23,7 +23,7 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -303,14 +303,8 @@ def _call_node(client: ChatClient, node: _PlanNode, upstream: list[tuple[Subject
     )
 
 
-class _InlineExecutor:
+class _InlineExecutor(Executor):
     """Runs each submitted call at once on the caller's thread."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
 
     def submit(self, fn, *args) -> Future:
         future = Future()

@@ -8,6 +8,7 @@ rebuild it.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -19,6 +20,8 @@ _MASK64 = (1 << 64) - 1
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
+# Questions reuse a small vocabulary, so each token is hashed once per process.
+@functools.lru_cache(maxsize=1 << 16)
 def _fnv1a_64(token: str) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):

@@ -21,7 +21,7 @@ import numpy as np
 from .backends import ChatClient
 from .errors import EmptySplit
 from .orchestrator import ExecutionTrace, execute_dag, execute_fcg, execute_single_cot
-from .profiling import ModelPoolEntry, ProfileStore, selection_map
+from .profiling import ModelPoolEntry, ProfileStore, check_pool_backends, selection_map
 from .router.generation import GenerationConfig, generate_sdag
 from .subjects import QuestionRecord, build_ground_truth_dag, dominant_subject
 
@@ -123,9 +123,7 @@ def evaluate(
         raise EmptySplit("no questions to evaluate")
     if not pool:
         raise ValueError("empty model pool")
-    unknown = sorted({e.backend for e in pool} - set(client.backends))
-    if unknown:
-        raise ValueError(f"pool names unknown backends: {unknown}")
+    check_pool_backends(pool, client.backends)
     records = sorted(records, key=lambda r: r.id)
     pool_backends = {e.model_id: e.backend for e in pool}
     model_ids = sorted(pool_backends)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +148,13 @@ def selection_map(subjects: list[Subject], store: ProfileStore) -> dict[Subject,
     return {s: select_model(s, store) for s in subjects}
 
 
+def check_pool_backends(pool: list[ModelPoolEntry], known: Iterable[str]) -> None:
+    """Raise ValueError if a pool entry names a backend outside `known`."""
+    unknown = sorted({e.backend for e in pool} - set(known))
+    if unknown:
+        raise ValueError(f"pool names unknown backends: {unknown}")
+
+
 def _dataset_hash(records: list[QuestionRecord]) -> str:
     joined = "\n".join(sorted(r.id for r in records))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
@@ -168,6 +176,10 @@ def run_profiling(
     for record in split:
         if record.subjects is None:
             raise ValueError(f"record {record.id}: profiling needs finalized subjects")
+    # Fail before the first call, as evaluate() does. Only a ChatClient has a
+    # backend table; any other client is left to reject names per call.
+    if isinstance(client, ChatClient):
+        check_pool_backends(pool, client.backends)
 
     results: list[GradedResult] = []
     calls = 0

@@ -41,8 +41,9 @@ def _check_labels(node_labels: Array, edge_labels: Array) -> tuple[Array, Array]
         raise ValueError(f"node labels have shape {node_labels.shape}")
     if edge_labels.shape != (NUM_SUBJECTS, NUM_SUBJECTS):
         raise ValueError(f"edge labels have shape {edge_labels.shape}")
-    if not np.isin(node_labels, (0.0, 1.0)).all() or not np.isin(edge_labels, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
+    for labels in (node_labels, edge_labels):
+        if not ((labels == 0.0) | (labels == 1.0)).all():
+            raise ValueError("labels must be 0 or 1")
     if np.diagonal(edge_labels).any():
         raise ValueError("edge labels must have a zero diagonal")
     return node_labels, edge_labels
@@ -64,6 +65,13 @@ def masked_bce_loss(
 ) -> float:
     """Evaluate the objective on already-computed probabilities."""
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
+    return _masked_bce(output, node_labels, edge_labels, config)
+
+
+def _masked_bce(
+    output: RouterOutput, node_labels: Array, edge_labels: Array, config: LossConfig
+) -> float:
+    """`masked_bce_loss` on labels that `_check_labels` already returned."""
     node_p = np.clip(np.asarray(output.node_probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     pair_p = np.clip(
         np.asarray(output.edge_probs, dtype=np.float64)[PAIR_SRC, PAIR_DST],
@@ -100,7 +108,7 @@ def logit_gradients(
     """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
     output = tape.output()
-    value = masked_bce_loss(output, node_labels, edge_labels, config)
+    value = _masked_bce(output, node_labels, edge_labels, config)
     d_node = config.lambda_node * _clamped_residual(output.node_probs, node_labels)
     d_edge = (
         config.lambda_edge

@@ -3,12 +3,18 @@
 Plain stochastic training: one Adam update per sample, a seeded shuffle per
 epoch. Runs are bit-reproducible for a fixed seed, sample list, and starting
 parameters.
+
+`train()` lays out its working copy of the parameters in one flat float64
+buffer, in tensor order, and each of the copy's tensors is a reshaped view
+into it. Only that copy, which `train()` returns, views the buffer; the
+caller's parameters are never touched. Adam updates the whole buffer in place
+with a fixed handful of element-wise ufuncs per step.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,8 +43,9 @@ class TrainSample:
     @classmethod
     def from_dag(cls, h_q: Array, dag: SDag) -> "TrainSample":
         node_labels, edge_labels = dag.to_labels()
-        return cls(h_q=np.asarray(h_q, dtype=np.float64), node_labels=node_labels,
-                   edge_labels=edge_labels)
+        return cls(h_q=np.asarray(h_q, dtype=np.float64),
+                   node_labels=np.asarray(node_labels, dtype=np.float64),
+                   edge_labels=np.asarray(edge_labels, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -63,24 +70,57 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, tensors: dict[str, Array], lr: float):
+    """Adam (Kingma & Ba) over one flat float64 parameter buffer, in place.
+
+    `flat` is the buffer behind `train()`'s working copy of the parameters,
+    whose tensors are views into it in the order of `names`. The moments `m`
+    and `v`, the gradient buffer `g` and one scratch buffer share its layout,
+    so a step allocates nothing. Each operation is element-wise and keeps the
+    operands and order of the per-tensor update
+    `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so results are bit for bit
+    those of updating each tensor on its own.
+    """
+
+    def __init__(self, flat: Array, names: list[str], lr: float):
+        self.flat = flat
+        self.names = names
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in tensors.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self.g = np.empty_like(flat)
+        self.scratch = np.empty_like(flat)
 
-    def step(self, tensors: dict[str, Array], grads: dict[str, Array]) -> None:
+    def step(self, grads: dict[str, Array]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            tensors[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v, g, s = self.m, self.v, self.g, self.scratch
+        np.concatenate([grads[name] for name in self.names], axis=None, out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+        np.multiply(g, g, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, s, out=s)
+        # g is spent; it holds the denominator from here on.
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        np.divide(m, bc1, out=s)
+        np.multiply(self.lr, s, out=s)
+        s /= g
+        self.flat -= s
+
+
+def _flat_copy(params: RouterParams) -> tuple[RouterParams, Array]:
+    """Copy `params` into one flat float64 buffer; the copy's tensors view it."""
+    flat = np.concatenate(list(params.tensors.values()), axis=None, dtype=np.float64)
+    tensors: dict[str, Array] = {}
+    start = 0
+    for name, arr in params.tensors.items():
+        tensors[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return replace(params, tensors=tensors), flat
 
 
 def train(
@@ -89,8 +129,8 @@ def train(
     """Train a copy of `params` on `samples`; the input is left untouched."""
     if not samples:
         raise EmptySplit("no training samples")
-    params = params.copy()
-    optimizer = _Adam(params.tensors, config.lr)
+    params, flat = _flat_copy(params)
+    optimizer = _Adam(flat, list(params.tensors), config.lr)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
 
@@ -101,7 +141,7 @@ def train(
             value, grads = loss_and_gradients(
                 params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss
             )
-            optimizer.step(params.tensors, grads)
+            optimizer.step(grads)
             epoch_losses.append(value)
         mean_loss = float(np.mean(epoch_losses))
         loss_curve.append(mean_loss)

@@ -1,5 +1,6 @@
 """Capability profiles: accumulation, normalization, selection, persistence."""
 
+import dataclasses
 import datetime
 import json
 
@@ -220,6 +221,15 @@ def test_run_profiling_requires_subjects():
     record = QuestionRecord(id="p0", question="q", options=["1", "2"], gold="A")
     with pytest.raises(ValueError):
         run_profiling(two_model_pool(), [record], echo_mute_client())
+
+
+def test_run_profiling_unknown_backend_fails_before_any_call():
+    pool = oracle_pool()
+    pool[0] = dataclasses.replace(pool[0], backend="nosuch")
+    client = oracle_client()
+    with pytest.raises(ValueError, match="nosuch"):
+        run_profiling(pool, make_profiling_records(), client)
+    assert client.counter.total == 0
 
 
 class FailingClient:

@@ -200,3 +200,44 @@ def test_small_gradcheck(activation, layers):
             denom = max(abs(numeric), abs(analytic), 1e-4)
             worst = max(worst, abs(numeric - analytic) / denom)
     assert worst <= 1e-4, worst
+
+
+def _bad_labels(case):
+    s, a = np.zeros(15), np.zeros((15, 15))
+    if case == "two":
+        s[M.index] = 2.0
+    elif case == "nan":
+        a[M.index, P.index] = np.nan
+    elif case == "shape":
+        s = np.zeros(14)
+    elif case == "diagonal":
+        a[P.index, P.index] = 1.0
+    return s, a
+
+
+@pytest.mark.parametrize("case", ["two", "nan", "shape", "diagonal"])
+def test_logit_gradients_and_public_loss_reject_bad_labels(case):
+    # logit_gradients checks once and skips masked_bce_loss's own check, so
+    # both entry points must still reject every malformed label set.
+    s, a = _bad_labels(case)
+    tape = ForwardTape(init_params(RouterDims(d_s=2, d_q=2, h=2, L=1), seed=0), np.ones(2))
+    with pytest.raises(ValueError):
+        logit_gradients(tape, s, a)
+    with pytest.raises(ValueError):
+        masked_bce_loss(tape.output(), s, a)
+
+
+def test_negative_zero_labels_are_accepted():
+    out = probs_output(np.full(15, 0.5), np.full((15, 15), 0.5))
+    s, a = -np.zeros(15), -np.zeros((15, 15))
+    assert masked_bce_loss(out, s, a) == masked_bce_loss(out, np.zeros(15), np.zeros((15, 15)))
+
+
+def test_loss_and_gradients_accepts_list_labels():
+    params = init_params(RouterDims(d_s=4, d_q=4, h=4, L=1), seed=1)
+    h_q = np.random.default_rng(1).standard_normal(4)
+    s_list, a_list = build_ground_truth_dag({M: 0.7, P: 0.3}).to_labels()
+    v_list, g_list = loss_and_gradients(params, h_q, s_list, a_list)
+    v_arr, g_arr = loss_and_gradients(params, h_q, np.array(s_list, float), np.array(a_list, float))
+    assert v_list == v_arr
+    assert all(np.array_equal(g_list[name], g_arr[name]) for name in g_arr)

@@ -98,3 +98,10 @@ def test_train_router_wires_embedder_descriptor():
     # Default dims pick up the embedder's dimension.
     r2 = train_router(dataset, emb, TrainConfig(epochs=1, seed=0))
     assert r2.params.dims.d_q == 16
+
+
+def test_train_sample_stores_float64_label_arrays():
+    sample = tiny_samples()[0]
+    assert sample.node_labels.dtype == np.float64 and sample.node_labels.shape == (15,)
+    assert sample.edge_labels.dtype == np.float64 and sample.edge_labels.shape == (15, 15)
+    assert sample.node_labels[M.index] == 1.0 and sample.edge_labels[P.index, M.index] == 1.0

@@ -99,7 +99,7 @@ class _Adam:
         np.concatenate([grads[name] for name in self.names], axis=None, out=g)
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
-        np.multiply(g, g, out=s)
+        np.square(g, out=s)  # exactly g * g, and faster than multiply(g, g)
         v *= ADAM_BETA2
         v += np.multiply(1.0 - ADAM_BETA2, s, out=s)
         # g is spent; it holds the denominator from here on.

@@ -20,7 +20,7 @@ _MASK64 = (1 << 64) - 1
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-# Questions reuse a small vocabulary, so each token is hashed once per process.
+# Questions reuse a small vocabulary; the memo spares rehashing a token byte by byte.
 @functools.lru_cache(maxsize=1 << 16)
 def _fnv1a_64(token: str) -> int:
     h = _FNV_OFFSET

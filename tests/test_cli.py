@@ -394,6 +394,23 @@ def test_eval_with_unset_api_key_exits_two(pipeline, tmp_path, monkeypatch, caps
     assert "SDAG_TEST_UNSET_KEY is not set" in capsys.readouterr().err
 
 
+def test_profile_with_unknown_pool_backend_exits_two(pipeline, tmp_path, capsys):
+    pool = tmp_path / "pool.json"
+    models = [dict(POOL_MODELS[0], backend="nosuch"), *POOL_MODELS[1:]]
+    pool.write_text(json.dumps({"models": models}), encoding="utf-8")
+    out = tmp_path / "profiles.json"
+    code, _ = run_cli([
+        "profile",
+        "--data", str(pipeline["curated"]),
+        "--pool", str(pool),
+        "--out", str(out),
+        "--backends", str(pipeline["backends"]),
+    ])
+    assert code == 2
+    assert "nosuch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verbose_flag_accepted(workspace, tmp_path):
     logging.getLogger().setLevel(logging.WARNING)
     code, _ = run_cli(

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import queue
 import re
 import threading
 import time
@@ -363,18 +364,42 @@ class CallCounter:
             }
 
 
+class _Gate:
+    """Admits at most `slots` holders at once.
+
+    The free slots are tokens in a queue.SimpleQueue: entering takes one,
+    waiting in C with the GIL released while none is free, and leaving puts
+    it back. A threading.Semaphore would run a Python-level Condition on
+    every call.
+    """
+
+    __slots__ = ("_tokens",)
+
+    def __init__(self, slots: int):
+        self._tokens = queue.SimpleQueue()
+        for _ in range(slots):
+            self._tokens.put(None)
+
+    def __enter__(self) -> None:
+        self._tokens.get()
+
+    def __exit__(self, *exc) -> None:
+        self._tokens.put(None)
+
+
 class ChatClient:
-    """Uniform entry point over named backends; owns counting and bounds."""
+    """Uniform entry point over named backends; owns counting and bounds.
+
+    Each backend has a gate that admits at most its `max_in_flight` calls at
+    once; a call that raises frees its slot like one that returns.
+    """
 
     def __init__(self, backends: dict[str, "MockBackend | RemoteBackend"]):
         if not backends:
             raise ValueError("at least one backend is required")
         self.backends = backends
         self.counter = CallCounter()
-        self._gates = {
-            name: threading.BoundedSemaphore(b.config.max_in_flight)
-            for name, b in backends.items()
-        }
+        self._gates = {name: _Gate(b.config.max_in_flight) for name, b in backends.items()}
 
     @property
     def all_simulated(self) -> bool:

@@ -23,7 +23,14 @@ from .embedding import HashedEmbedder
 from .errors import SdagError
 from .evaluation import MODES, EvalConfig, evaluate, render_report
 from .orchestrator import execute_dag, execute_fcg
-from .profiling import load_pool, load_profiles, run_profiling, save_profiles, selection_map
+from .profiling import (
+    check_pool_backends,
+    load_pool,
+    load_profiles,
+    run_profiling,
+    save_profiles,
+    selection_map,
+)
 from .router.checkpoint import load_checkpoint, save_checkpoint
 from .router.generation import GenerationConfig, generate_sdag
 from .router.model import RouterDims, RouterParams
@@ -122,6 +129,9 @@ def _cmd_run(args) -> int:
     store.ensure_covers(pool)
     pool_backends = {e.model_id: e.backend for e in pool}
     client = build_client(load_backend_configs(args.backends))
+    # Reject a pool typo before any work, not only on the models this
+    # question happens to route to.
+    check_pool_backends(pool, client.backends)
     generation = GenerationConfig(
         node_threshold=args.node_threshold, edge_threshold=args.edge_threshold
     )

@@ -106,7 +106,12 @@ def consensus_merge(runs: list[SubjectWeights]) -> SubjectWeights:
         shared &= set(run)
     if not shared:
         raise NoConsensus("no subject appears in all annotation rounds")
-    means = {s: sum(run[s] for run in runs) / len(runs) for s in shared}
+    # Canonical order, not set order: renormalize sums the means in key order,
+    # and a float sum depends on its order.
+    means = {
+        s: sum(run[s] for run in runs) / len(runs)
+        for s in sorted(shared, key=lambda s: s.index)
+    }
     return renormalize(means)
 
 

@@ -23,7 +23,7 @@ from .errors import EmptySplit
 from .orchestrator import ExecutionTrace, execute_dag, execute_fcg, execute_single_cot
 from .profiling import ModelPoolEntry, ProfileStore, check_pool_backends, selection_map
 from .router.generation import GenerationConfig, generate_sdag
-from .subjects import QuestionRecord, build_ground_truth_dag, dominant_subject
+from .subjects import SUBJECTS, QuestionRecord, build_ground_truth_dag, dominant_subject
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +153,12 @@ def evaluate(
             single_cot_model in pool_backends,
             f"single_cot model {single_cot_model!r} is not in the pool",
         )
+    # Profiles are fixed for the whole run, so every subject's model is chosen
+    # once; a question then only looks its subjects up.
+    table = (
+        selection_map(list(SUBJECTS), store)
+        if cfg.mode in ("sdag", "no_gnn", "fcg") else None
+    )
 
     def base_dag(record: QuestionRecord):
         # The router path never consults stored annotations; the annotation
@@ -178,7 +184,7 @@ def evaluate(
                     s: model_ids[int(rng.integers(0, len(model_ids)))] for s in subjects
                 }
             else:
-                selection = selection_map(subjects, store)
+                selection = {s: table[s] for s in subjects}
             if cfg.mode == "fcg":
                 trace = execute_fcg(
                     dag.nodes, record, selection, pool_backends, client,

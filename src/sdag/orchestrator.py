@@ -11,9 +11,10 @@ The runner has two schedules. When every backend is simulated, nodes run one
 after another in plan order on the caller's thread: plan order is
 topological, mock replies and latencies are pure functions of the request,
 and start times come from the dependencies' simulated finish times, so the
-trace is the one a concurrent run would give. With any live backend, every
-node gets a thread of its own and nodes with satisfied dependencies run
-concurrently.
+trace is the one a concurrent run would give. Each inline node yields a
+completed-result handle rather than a Future, so this path takes no lock.
+With any live backend, every node gets a thread of its own and nodes with
+satisfied dependencies run concurrently.
 """
 
 from __future__ import annotations
@@ -152,15 +153,32 @@ def render_single_cot_prompt(question: QuestionRecord | str) -> str:
     return SINGLE_COT_PROMPT.replace("{Q}", question_block(question))
 
 
-_ANSWER_RE = re.compile(r"<<(.*?)>>", re.DOTALL)
 _LETTER_RE = re.compile(r"(?<![A-Za-z0-9])([A-J])(?![A-Za-z0-9])")
+
+
+def _last_answer_group(reply: str) -> str | None:
+    """The last group `re.findall(r"<<(.*?)>>", reply, re.DOTALL)` would give.
+
+    Each group runs from a `<<` to the first `>>` after it, and the scan
+    resumes past that `>>`. Two `str.find` calls per group keep this linear
+    where the lazy regex is quadratic on many unmatched `<<`.
+    """
+    last = None
+    pos = 0
+    while (start := reply.find("<<", pos)) >= 0:
+        end = reply.find(">>", start + 2)
+        if end < 0:
+            break
+        last = reply[start + 2:end]
+        pos = end + 2
+    return last
 
 
 def extract_answer(reply: str) -> str | None:
     """Contents of the last <<...>> group, else the last standalone A-J."""
-    groups = _ANSWER_RE.findall(reply)
-    if groups:
-        return groups[-1].strip()
+    group = _last_answer_group(reply)
+    if group is not None:
+        return group.strip()
     letters = _LETTER_RE.findall(reply)
     if letters:
         return letters[-1]
@@ -261,7 +279,20 @@ class _PlanNode:
     render: Callable[[list[tuple[Subject, str]]], str]
 
 
-def _call_node(client: ChatClient, node: _PlanNode, upstream: list[tuple[Subject, Future]],
+class _Done:
+    """The finished record of an inline call, read like a Future's result."""
+
+    __slots__ = ("_record",)
+
+    def __init__(self, record: TraceRecord):
+        self._record = record
+
+    def result(self) -> TraceRecord:
+        return self._record
+
+
+def _call_node(client: ChatClient, node: _PlanNode,
+               upstream: list[tuple[Subject, Future | _Done]],
                metadata: dict, t0: float | None) -> TraceRecord:
     """Wait for the dependencies, then make the node's one call.
 
@@ -306,10 +337,8 @@ def _call_node(client: ChatClient, node: _PlanNode, upstream: list[tuple[Subject
 class _InlineExecutor(Executor):
     """Runs each submitted call at once on the caller's thread."""
 
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def submit(self, fn, *args) -> _Done:
+        return _Done(fn(*args))
 
 
 def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRecord | str,
@@ -336,7 +365,7 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
     t0 = None if simulated else time.monotonic()
     executor = _InlineExecutor() if simulated else ThreadPoolExecutor(max_workers=len(plan))
     with executor:
-        futures: list[Future] = []
+        futures: list[Future | _Done] = []
         for node in plan:
             subject = {} if node.subject is None else {"subject": node.subject.value}
             metadata = {"question_id": q_id, **subject, "role": node.role, **extra}

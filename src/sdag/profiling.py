@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import ChatClient, ChatRequest
-from .errors import CorruptProfileStore, EmptyPool, EmptySplit, TransportError, VersionMismatch
+from .errors import (
+    CorruptProfileStore,
+    EmptyPool,
+    EmptySplit,
+    TransportError,
+    UnknownSubject,
+    VersionMismatch,
+)
 from .subjects import (
     NUM_SUBJECTS,
     SUBJECTS,
@@ -253,10 +260,11 @@ def save_profiles(store: ProfileStore, path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> ProfileStore:
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptProfileStore(f"{path}: not valid JSON ({exc})") from exc
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptProfileStore(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptProfileStore(f"{path}: top level is not an object")
     version = payload.get("version")
@@ -283,6 +291,6 @@ def load_profiles(path: str | Path) -> ProfileStore:
             )
     except CorruptProfileStore:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, UnknownSubject) as exc:
         raise CorruptProfileStore(f"{path}: malformed profile entry ({exc})") from exc
     return ProfileStore(profiles=profiles, provenance=payload.get("provenance", {}))

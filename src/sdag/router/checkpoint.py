@@ -37,11 +37,11 @@ def save_checkpoint(params: RouterParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> RouterParams:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptCheckpoint(f"{path}: not valid JSON ({exc})") from exc
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptCheckpoint(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptCheckpoint(f"{path}: top level is not an object")
 

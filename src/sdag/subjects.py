@@ -36,6 +36,11 @@ class Subject(enum.Enum):
     MEDICINE = "Medicine"
     OTHER = "Other"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and spares every subject-keyed dict
+    # the Python-level `Enum.__hash__` call.
+    __hash__ = object.__hash__
+
     @property
     def index(self) -> int:
         """0-based position in canonical order; stable across runs."""

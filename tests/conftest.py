@@ -14,6 +14,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from sdag.backends import BackendConfig, build_client
 from sdag.embedding import HashedEmbedder
@@ -130,6 +131,24 @@ class TrainedRouter:
 @pytest.fixture(scope="session")
 def trained_router():
     return TrainedRouter()
+
+
+# -- damaged files ----------------------------------------------------------
+
+# A truncation at some offset, or one bit flipped at some offset; offsets wrap
+# around the file length.
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(0)),
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(0, 7)),
+)
+
+
+def damaged(data: bytes, damage) -> bytes:
+    kind, offset, bit = damage
+    offset %= len(data)
+    if kind == "truncate":
+        return data[:offset]
+    return data[:offset] + bytes([data[offset] ^ (1 << bit)]) + data[offset + 1:]
 
 
 # -- scripted local HTTP server ---------------------------------------------

@@ -332,6 +332,86 @@ def test_client_counts_and_routes():
     assert client.counter.snapshot()["by_backend"] == {"a": 1, "b": 1}
 
 
+class CountingBackend:
+    """Records how many calls are inside `complete` at once.
+
+    Each call waits at a barrier of `max_in_flight` parties, so the gate must
+    admit that many together, then lingers so an extra admission would show.
+    """
+
+    simulated = True
+
+    def __init__(self, max_in_flight):
+        self.config = BackendConfig(name="c", kind="mock", max_in_flight=max_in_flight)
+        self.barrier = threading.Barrier(max_in_flight, timeout=5)
+        self.lock = threading.Lock()
+        self.inside = 0
+        self.peak = 0
+
+    def complete(self, req):
+        with self.lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        try:
+            self.barrier.wait()
+            time.sleep(0.02)
+        finally:
+            with self.lock:
+                self.inside -= 1
+        return ChatResponse(text="ok", latency=0.0, attempts=1, backend="c", simulated=True)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+def test_client_gate_admits_exactly_max_in_flight(max_in_flight):
+    backend = CountingBackend(max_in_flight)
+    client = ChatClient({"c": backend})
+    errors = []
+
+    def call():
+        try:
+            client.complete(ChatRequest(backend="c", user="u"))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, daemon=True) for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert backend.peak == max_in_flight
+    assert client.counter.total == 6
+
+
+class FailingBackend:
+    simulated = True
+    config = BackendConfig(name="f", kind="mock", max_in_flight=1)
+
+    def complete(self, req):
+        raise TransportError("down", attempts=2)
+
+
+def test_client_gate_frees_slot_on_transport_error():
+    client = ChatClient({"f": FailingBackend()})
+    raised = []
+
+    def calls():
+        for _ in range(3):
+            try:
+                client.complete(ChatRequest(backend="f", user="u"))
+            except TransportError:
+                raised.append(True)
+
+    # With max_in_flight=1, a slot kept by the first failure would block the
+    # second call for good.
+    worker = threading.Thread(target=calls, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert raised == [True, True, True]
+
+
 def test_client_unknown_backend():
     client = build_client([BackendConfig(name="a", kind="mock", script=[{"reply": "x"}])])
     with pytest.raises(ValueError):

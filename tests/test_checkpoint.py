@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import DAMAGE, damaged
 from sdag.errors import CorruptCheckpoint, VersionMismatch
 from sdag.router.checkpoint import load_checkpoint, save_checkpoint
 from sdag.router.model import RouterDims, init_params, tensor_shapes
@@ -117,3 +119,28 @@ def test_nan_rejected_at_save(tmp_path):
     params.tensors["init.b"][0] = np.nan
     with pytest.raises(ValueError):
         save_checkpoint(params, tmp_path / "ckpt.json")
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damage") / "ckpt.json"
+    save_checkpoint(init_params(DIMS, seed=5, embedder="hashed(d=5)"), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=DAMAGE)
+def test_damaged_file_loads_or_raises_designated_error(saved_checkpoint, damage):
+    path = saved_checkpoint.with_name("damaged.json")
+    path.write_bytes(damaged(saved_checkpoint.read_bytes(), damage))
+    try:
+        load_checkpoint(path)
+    except (CorruptCheckpoint, VersionMismatch):
+        pass
+
+
+def test_non_utf8_file_is_corrupt(saved_checkpoint):
+    path = saved_checkpoint.with_name("latin.json")
+    path.write_bytes(saved_checkpoint.read_bytes().replace(b'"hashed', b'"\xffhashed', 1))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)

@@ -7,6 +7,9 @@ directory, so every stage is deterministic and offline.
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,6 +19,8 @@ from sdag.cli import main
 from sdag.curation import read_records
 from sdag.profiling import load_pool, load_profiles
 from sdag.router.checkpoint import load_checkpoint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RAW_QUESTIONS = [
     ("q00", "A magnet falls through a copper tube; derive its terminal speed."),
@@ -409,6 +414,50 @@ def test_profile_with_unknown_pool_backend_exits_two(pipeline, tmp_path, capsys)
     assert code == 2
     assert "nosuch" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_with_unknown_pool_backend_exits_two(pipeline, tmp_path, capsys):
+    # Equal profiles route every subject to expert-biology (ties go to the
+    # first model id), so the question never reaches the broken entry.
+    pool = tmp_path / "pool.json"
+    models = [dict(m, backend="nosuch") if m["model_id"] == "expert-math" else m
+              for m in POOL_MODELS]
+    pool.write_text(json.dumps({"models": models}), encoding="utf-8")
+    trace_path = tmp_path / "trace.jsonl"
+    code, out = run_cli([
+        "run",
+        "--question", "How does the contract bind the two parties?",
+        "--checkpoint", str(pipeline["checkpoint"]),
+        "--profiles", str(pipeline["profiles"]),
+        "--pool", str(pool),
+        "--backends", str(pipeline["backends"]),
+        "--trace", str(trace_path),
+    ])
+    assert code == 2
+    assert out == ""
+    assert "nosuch" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["sdag", "fcg"])
+def test_eval_json_bytes_do_not_depend_on_hash_seed(pipeline, mode):
+    argv = eval_argv(pipeline, mode, [
+        "--checkpoint", str(pipeline["checkpoint"]),
+        "--profiles", str(pipeline["profiles"]),
+        "--split", "all",
+        "--format", "json",
+    ])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdag.cli", *argv],
+            env=env, capture_output=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["mode"] == mode
+    assert outputs[0] == outputs[1]
 
 
 def test_verbose_flag_accepted(workspace, tmp_path):

@@ -1,6 +1,7 @@
 """Annotation parsing, consensus filtering, split assignment, and JSONL IO."""
 
 import logging
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from sdag.errors import (
     SdagError,
     TransportError,
 )
-from sdag.subjects import QuestionRecord, Subject
+from sdag.subjects import SUBJECTS, QuestionRecord, Subject
 
 M, P, C, B = Subject.MATH, Subject.PHYSICS, Subject.CHEMISTRY, Subject.BIOLOGY
 
@@ -129,6 +130,24 @@ def test_consensus_intersection_and_mean():
     # means: M 0.6, P 1/3; renormalized to 9/14 and 5/14
     assert merged[M] == pytest.approx(9.0 / 14.0, rel=1e-12)
     assert merged[P] == pytest.approx(5.0 / 14.0, rel=1e-12)
+
+
+def test_consensus_sums_in_canonical_order():
+    # Set iteration order follows the members' hashes, which differ between
+    # processes; a float sum in that order would make curated weights differ
+    # in the last bit from run to run.
+    rng = random.Random(0)
+    for _ in range(300):
+        subjects = rng.sample(SUBJECTS, 5)
+        runs = []
+        for _ in range(3):
+            weights = [rng.random() for _ in subjects]
+            runs.append({s: w / sum(weights) for s, w in zip(subjects, weights)})
+        canonical = sorted(subjects, key=lambda s: s.index)
+        means = [sum(run[s] for run in runs) / 3 for s in canonical]
+        total = sum(means)
+        expected = {s: m / total for s, m in zip(canonical, means)}
+        assert list(consensus_merge(runs).items()) == list(expected.items())
 
 
 def test_consensus_requires_three_rounds():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import sdag.evaluation
 from conftest import make_profiling_records, oracle_client, oracle_pool
 from sdag.errors import EmptySplit
 from sdag.evaluation import (
@@ -91,6 +92,31 @@ def test_unknown_pool_backend_fails_before_any_call(mode, trained_router, oracle
             store=oracle_store,
         )
     assert client.counter.total == 0
+
+
+@pytest.mark.parametrize(
+    "mode, builds",
+    [("sdag", 1), ("no_gnn", 1), ("fcg", 1), ("random_model", 0), ("single_cot", 0)],
+)
+def test_selection_table_built_once_per_evaluate(
+    mode, builds, trained_router, oracle_store, monkeypatch
+):
+    calls = []
+    real = sdag.evaluation.selection_map
+
+    def counting(subjects, store):
+        calls.append(list(subjects))
+        return real(subjects, store)
+
+    monkeypatch.setattr(sdag.evaluation, "selection_map", counting)
+    records = trained_router.held_records[:4] if mode == "sdag" else eval_records()
+    report = evaluate(
+        records, oracle_client(), oracle_pool(), EvalConfig(mode=mode, seeds=2),
+        params=trained_router.params if mode == "sdag" else None,
+        embedder=trained_router.embedder, store=oracle_store,
+    )
+    assert len(report.outcomes) == 2 * len(records)
+    assert len(calls) == builds
 
 
 # -- no_gnn -----------------------------------------------------------------

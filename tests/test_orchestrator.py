@@ -1,10 +1,11 @@
 """Role assignment, prompt rendering, DAG execution, and baselines."""
 
 import json
+import re
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdag.orchestrator
@@ -186,6 +187,33 @@ def test_extract_answer_multiline_marker():
 def test_extract_answer_none():
     assert extract_answer("no usable reply here") is None
     assert extract_answer("numbers 123 only") is None
+
+
+def regex_extract_answer(reply):
+    """The lazy-regex extraction that the linear scan replaced."""
+    groups = re.findall(r"<<(.*?)>>", reply, re.DOTALL)
+    if groups:
+        return groups[-1].strip()
+    letters = re.findall(r"(?<![A-Za-z0-9])([A-J])(?![A-Za-z0-9])", reply)
+    return letters[-1] if letters else None
+
+
+# Texts over {<, >, A, J, x, space, newline}, drawn as runs of tokens so that
+# markers, nested openers and stray brackets are common.
+REPLY_TOKENS = ["<", ">", "<<", ">>", "A", "J", "x", " ", "\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(reply=st.lists(st.sampled_from(REPLY_TOKENS), max_size=30).map("".join))
+@example(reply="<<x<<A>>")
+@example(reply="<<A>>>J>>")
+def test_extract_answer_matches_lazy_regex(reply):
+    assert extract_answer(reply) == regex_extract_answer(reply)
+
+
+def test_extract_answer_is_linear_on_unmatched_markers():
+    # The lazy regex rescans the tail for every `<<`: quadratic in the length.
+    assert extract_answer("<" * (1 << 20)) is None
 
 
 # -- execute_dag ------------------------------------------------------------

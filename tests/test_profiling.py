@@ -5,8 +5,9 @@ import datetime
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_profiling_records, oracle_client, oracle_pool
+from conftest import DAMAGE, damaged, make_profiling_records, oracle_client, oracle_pool
 from sdag.backends import BackendConfig, build_client
 from sdag.errors import (
     CorruptProfileStore,
@@ -289,6 +290,31 @@ def test_load_version_mismatch(tmp_path):
     payload["version"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(VersionMismatch):
+        load_profiles(path)
+
+
+@pytest.fixture(scope="module")
+def saved_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("damage") / "profiles.json"
+    save_profiles(store_from_raw({"a": {M: 0.5, P: 0.25}, "b": {L: 1.0}, "c": {}}), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=DAMAGE)
+def test_damaged_store_loads_or_raises_designated_error(saved_store, damage):
+    path = saved_store.with_name("damaged.json")
+    path.write_bytes(damaged(saved_store.read_bytes(), damage))
+    try:
+        load_profiles(path)
+    except (CorruptProfileStore, VersionMismatch):
+        pass
+
+
+def test_load_non_utf8_store(saved_store):
+    path = saved_store.with_name("latin.json")
+    path.write_bytes(saved_store.read_bytes().replace(b'"Math"', b'"M\xe4th"', 1))
+    with pytest.raises(CorruptProfileStore):
         load_profiles(path)
 
 

@@ -105,7 +105,7 @@ def test_selection_table_built_once_per_evaluate(
     real = sdag.evaluation.selection_map
 
     def counting(subjects, store):
-        calls.append(list(subjects))
+        calls.append(subjects)
         return real(subjects, store)
 
     monkeypatch.setattr(sdag.evaluation, "selection_map", counting)

@@ -18,12 +18,14 @@ import queue
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import AuthError, NoRuleMatched, Timeout, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -238,9 +240,15 @@ def _retry_after_s(headers, cap_s: float) -> float | None:
 
 
 class RemoteBackend:
-    """OpenAI-compatible chat endpoint with retry on transport errors, 5xx and 429."""
+    """OpenAI-compatible chat endpoint with retry on transport errors, 5xx and 429.
+
+    `requests` (and urllib3, ssl, idna with it) is imported here rather than
+    at module level, so processes that only build mock backends never load it.
+    """
 
     def __init__(self, config: BackendConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
 
@@ -261,6 +269,8 @@ class RemoteBackend:
         return headers
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        import requests
+
         headers = self._headers()  # fails before any I/O when the key is missing
         messages = []
         if req.system:
@@ -420,13 +430,38 @@ def build_backend(config: BackendConfig, session: requests.Session | None = None
     return RemoteBackend(config, session=session)
 
 
-def _config_from_dict(entry: dict, base_dir: Path | None = None) -> BackendConfig:
+def read_entries(path: Path, key: str, required: tuple[str, ...]) -> list[dict]:
+    """The entry objects of a JSON file holding a list, or {key: [...]}.
+
+    Raises ValueError naming the file, and the entry index where there is
+    one, for any other top level, a non-object entry or a missing field.
+    """
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(raw, dict):
+        if key not in raw:
+            raise ValueError(f"{path}: top-level object has no {key!r} list")
+        raw = raw[key]
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: expected a list of entries")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: entry {i} is not an object")
+        missing = [name for name in required if name not in entry]
+        if missing:
+            raise ValueError(f"{path}: entry {i} lacks {', '.join(missing)}")
+    return raw
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(BackendConfig)) | {"script_path"}
+
+
+def _config_from_dict(entry: dict, base_dir: Path) -> BackendConfig:
     entry = dict(entry)
     script = entry.get("script", [])
     script_path = entry.pop("script_path", None)
     if script_path is not None:
         path = Path(script_path)
-        if base_dir is not None and not path.is_absolute():
+        if not path.is_absolute():
             path = base_dir / path
         script = json.loads(path.read_text(encoding="utf-8"))
     entry["script"] = script
@@ -438,8 +473,11 @@ def _config_from_dict(entry: dict, base_dir: Path | None = None) -> BackendConfi
 def load_backend_configs(path: str | Path) -> list[BackendConfig]:
     """Read a backend config file: a list, or {"backends": [...]}."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    entries = raw["backends"] if isinstance(raw, dict) else raw
+    entries = read_entries(path, "backends", ("name", "kind"))
+    for i, entry in enumerate(entries):
+        unknown = sorted(set(entry) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"{path}: entry {i} has unknown field(s) {', '.join(unknown)}")
     return [_config_from_dict(e, base_dir=path.parent) for e in entries]
 
 

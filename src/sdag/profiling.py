@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import ChatClient, ChatRequest
+from .backends import ChatClient, ChatRequest, read_entries
 from .errors import (
     CorruptProfileStore,
     EmptyPool,
@@ -57,8 +57,7 @@ class ModelPoolEntry:
 
 def load_pool(path: str | Path) -> list[ModelPoolEntry]:
     """Read a pool file: a list, or {"models": [...]}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = raw["models"] if isinstance(raw, dict) else raw
+    entries = read_entries(Path(path), "models", ("model_id", "backend"))
     pool = [
         ModelPoolEntry(
             model_id=e["model_id"],

@@ -2,12 +2,14 @@
 
 Plain JSON: format version, dimension record, seed and embedder provenance,
 and every tensor flattened row-major. Float round-tripping through JSON
-preserves 64-bit values exactly, so save/load is bit-exact.
+preserves 64-bit values exactly, so save/load is bit-exact. Saves stream
+tensor by tensor into a temporary file that replaces the target.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +20,42 @@ from .model import RouterDims, RouterParams, tensor_shapes
 CHECKPOINT_VERSION = 2
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+
 def save_checkpoint(params: RouterParams, path: str | Path) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "dims": {
-            "d_s": params.dims.d_s,
-            "d_q": params.dims.d_q,
-            "h": params.dims.h,
-            "L": params.dims.L,
-            "activation": params.dims.activation,
-        },
-        "seed": params.seed,
-        "embedder": params.embedder,
-        "tensors": {name: arr.reshape(-1).tolist() for name, arr in params.tensors.items()},
+    """Write `params` to `path`, one tensor at a time, replacing it atomically.
+
+    The bytes equal json.dumps(payload, sort_keys=True, allow_nan=False,
+    separators=(",", ":")) + "\n" of the whole payload, but only one tensor's
+    float list and JSON text exist at once. The text goes to a temporary file
+    beside `path` that is renamed onto it, so a failed save (say, a tensor
+    that turned non-finite) leaves any previous checkpoint intact.
+    """
+    path = Path(path)
+    dims = {
+        "d_s": params.dims.d_s,
+        "d_q": params.dims.d_q,
+        "h": params.dims.h,
+        "L": params.dims.L,
+        "activation": params.dims.activation,
     }
-    text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")  # exclusive: never clobbers another file
+    try:
+        with f:
+            # Top-level keys in sorted order, as sort_keys=True would emit them.
+            f.write(f'{{"dims":{_dumps(dims)},"embedder":{_dumps(params.embedder)},')
+            f.write(f'"seed":{_dumps(params.seed)},"tensors":{{')
+            for i, name in enumerate(sorted(params.tensors)):
+                values = _dumps(params.tensors[name].reshape(-1).tolist())
+                f.write(f'{"," if i else ""}{_dumps(name)}:{values}')
+            f.write(f'}},"version":{CHECKPOINT_VERSION}}}\n')
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> RouterParams:

@@ -473,3 +473,42 @@ def test_verbose_flag_accepted(workspace, tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "broken, expect",
+    [
+        ("pool", "entry 1 lacks backend"),
+        ("backends", "entry 1 has unknown field(s) scirpt"),
+    ],
+)
+def test_malformed_pool_or_backend_file_exits_two(pipeline, tmp_path, broken, expect):
+    # A pool entry without `backend`, or a backend entry with a misspelt
+    # field, is a misconfiguration: exit 2 with one error line, no traceback.
+    pool = tmp_path / "pool.json"
+    backends = tmp_path / "backends.json"
+    models = [dict(m) for m in POOL_MODELS]
+    entries = json.loads(pipeline["backends"].read_text(encoding="utf-8"))["backends"]
+    if broken == "pool":
+        del models[1]["backend"]
+    else:
+        entries[1]["scirpt"] = entries[1].pop("script")
+    pool.write_text(json.dumps({"models": models}), encoding="utf-8")
+    backends.write_text(json.dumps({"backends": entries}), encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sdag.cli", "eval",
+            "--mode", "single_cot",
+            "--single-cot-model", "expert-math",
+            "--data", str(pipeline["curated"]),
+            "--pool", str(pool),
+            "--backends", str(backends),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert f"{tmp_path / broken}.json: {expect}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,7 +1,10 @@
 """Chat backends: scripted mocks, remote retry/auth behavior, call counting."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -24,6 +27,7 @@ from sdag.backends import (
 from sdag.errors import AuthError, NoRuleMatched, Timeout, TransportError
 
 SAMPLES = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- request/response validation --------------------------------------------
@@ -461,3 +465,46 @@ def test_load_backend_configs_plain_list(tmp_path):
     path.write_text(json.dumps([{"name": "m", "kind": "mock", "script": [{"reply": "x"}]}]))
     configs = load_backend_configs(path)
     assert configs[0].name == "m"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"models": []}, "top-level object has no 'backends' list"),
+        ("mock", "expected a list of entries"),
+        ([{"name": "m", "kind": "mock"}, "m"], "entry 1 is not an object"),
+        ([{"kind": "mock"}], "entry 0 lacks name"),
+        ([{"name": "m", "script": []}], "entry 0 lacks kind"),
+        ([{}], "entry 0 lacks name, kind"),
+        ([{"name": "m", "kind": "mock", "scirpt": [], "sede": 1}],
+         "entry 0 has unknown field(s) scirpt, sede"),
+    ],
+)
+def test_malformed_backend_config_names_file_and_entry(tmp_path, raw, message):
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as info:
+        load_backend_configs(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# -- import footprint ---------------------------------------------------------
+
+
+def test_requests_is_loaded_only_for_remote_backends():
+    script = "\n".join([
+        "import sys",
+        "import sdag, sdag.cli",
+        "from sdag.backends import BackendConfig, build_client",
+        "assert not {'requests', 'urllib3'} & set(sys.modules), 'loaded at import'",
+        "build_client([BackendConfig(name='m', kind='mock')])",
+        "assert 'requests' not in sys.modules, 'loaded by a mock backend'",
+        "build_client([BackendConfig(name='r', kind='remote', url='http://127.0.0.1:9')])",
+        "assert 'requests' in sys.modules, 'not loaded by a remote backend'",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,14 @@
 """Annotation parsing, consensus filtering, split assignment, and JSONL IO."""
 
+import itertools
 import logging
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdag.backends import BackendConfig, build_client
 from sdag.curation import (
@@ -23,7 +28,7 @@ from sdag.errors import (
     SdagError,
     TransportError,
 )
-from sdag.subjects import SUBJECTS, QuestionRecord, Subject
+from sdag.subjects import SUBJECTS, QuestionRecord, Subject, renormalize
 
 M, P, C, B = Subject.MATH, Subject.PHYSICS, Subject.CHEMISTRY, Subject.BIOLOGY
 
@@ -115,6 +120,23 @@ def test_parse_rejects_all_zero_weights():
         parse_annotation_reply("Keywords: <Math 0>, <Physics 0.0>")
 
 
+REPLY_TOKENS = [s.value for s in SUBJECTS] + list("0123456789<>.e- ") + ["Keywords:"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(reply=st.lists(st.sampled_from(REPLY_TOKENS), max_size=40).map("".join))
+@example(reply="Keywords:<Math 1e999>")
+@example(reply="<Law 0.5><Math 5e-324>")
+def test_parse_raises_only_designated_errors(reply):
+    try:
+        weights = parse_annotation_reply(reply)
+    except (ParseFailure, InvalidWeight):
+        return
+    assert weights and all(isinstance(s, Subject) for s in weights)
+    assert all(0.0 <= w <= 1.0 for w in weights.values())
+    assert math.isclose(sum(weights.values()), 1.0, rel_tol=1e-9)
+
+
 # -- consensus --------------------------------------------------------------
 
 
@@ -148,6 +170,38 @@ def test_consensus_sums_in_canonical_order():
         total = sum(means)
         expected = {s: m / total for s, m in zip(canonical, means)}
         assert list(consensus_merge(runs).items()) == list(expected.items())
+
+
+@st.composite
+def annotation_rounds(draw):
+    """Three renormalized rounds over overlapping subject sets."""
+    subjects = st.sets(st.sampled_from(SUBJECTS), min_size=1, max_size=6)
+    weight = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return [
+        renormalize({s: draw(weight) for s in draw(subjects)}) for _ in range(3)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=annotation_rounds())
+def test_consensus_does_not_depend_on_round_order(runs):
+    # The means are summed in round order (pinned above), so the weights may
+    # differ between orders by a few units in the last place, never more.
+    results = []
+    for order in itertools.permutations(runs):
+        try:
+            results.append(consensus_merge(list(order)))
+        except NoConsensus:
+            results.append(None)
+    first = results[0]
+    for other in results[1:]:
+        if first is None:
+            assert other is None
+            continue
+        assert list(other) == list(first)
+        for s, w in first.items():
+            assert math.isclose(other[s], w, rel_tol=32 * sys.float_info.epsilon,
+                                abs_tol=2 * math.ulp(0.0)), s
 
 
 def test_consensus_requires_three_rounds():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdag.embedding import HashedEmbedder
 from sdag.router.generation import GenerationConfig, assemble_dag, generate_sdag
@@ -114,6 +117,38 @@ def test_generated_dag_always_valid_1000_draws():
         assert 1 <= len(g.nodes) <= MAX_DAG_NODES
         assert all(n.subject is not Subject.OTHER for n in g.nodes)
         g.topological_order()
+
+
+def near(threshold: float):
+    """Probabilities exactly at a threshold, one ulp either side, or anywhere."""
+    return st.one_of(
+        st.sampled_from([
+            threshold,
+            float(np.nextafter(threshold, 0.0)),
+            float(np.nextafter(threshold, 1.0)),
+            0.0,
+            1.0,
+        ]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), node_threshold=THRESHOLDS, edge_threshold=THRESHOLDS)
+def test_assembled_dag_always_valid(data, node_threshold, edge_threshold):
+    node_probs = data.draw(arrays(np.float64, 15, elements=near(node_threshold)))
+    edge_probs = data.draw(arrays(np.float64, (15, 15), elements=near(edge_threshold)))
+    config = GenerationConfig(node_threshold=node_threshold, edge_threshold=edge_threshold)
+    g = assemble_dag(node_probs, edge_probs, config)
+    report = validate_dag(g)
+    assert report.ok, report.violations
+    assert 1 <= len(g.nodes) <= MAX_DAG_NODES
+    assert all(n.subject is not Subject.OTHER for n in g.nodes)
+    assert all(e.score > edge_threshold for e in g.edges)
+    g.topological_order()
 
 
 def test_logit_ordering_invariant_under_head_scaling():

@@ -371,3 +371,20 @@ def test_load_pool_empty(tmp_path):
     path.write_text("[]")
     with pytest.raises(EmptyPool):
         load_pool(path)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"backends": []}, "top-level object has no 'models' list"),
+        ([{"model_id": "m", "backend": "b"}, ["m", "b"]], "entry 1 is not an object"),
+        ([{"backend": "b"}], "entry 0 lacks model_id"),
+        ([{"model_id": "m", "backend": "b"}, {"model_id": "m2"}], "entry 1 lacks backend"),
+    ],
+)
+def test_malformed_pool_names_file_and_entry(tmp_path, raw, message):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as info:
+        load_pool(path)
+    assert str(info.value) == f"{path}: {message}"

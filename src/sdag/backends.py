@@ -452,19 +452,48 @@ def read_entries(path: Path, key: str, required: tuple[str, ...]) -> list[dict]:
     return raw
 
 
+def check_field_types(where: str, entry: dict, types: dict) -> None:
+    """Raise ValueError prefixed by `where` for the first field of `entry`
+    that `types` (field -> (accepts, description)) does not accept."""
+    for name, (accepts, expected) in types.items():
+        if name in entry and not accepts(entry[name]):
+            raise ValueError(f"{where}: {name} must be {expected}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_optional_str(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
 _CONFIG_KEYS = frozenset(f.name for f in fields(BackendConfig)) | {"script_path"}
+_CONFIG_TYPES = {
+    **{name: (_is_int, "an integer") for name in ("max_in_flight", "timeout_ms", "retries", "seed")},
+    "backoff_s": (_is_number, "a number"),
+    "latency_ms": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+        "a list of two numbers",
+    ),
+    "script": (lambda v: isinstance(v, list), "a list"),
+    **{name: (_is_optional_str, "a string or null") for name in ("url", "model", "key_env")},
+}
 
 
-def _config_from_dict(entry: dict, base_dir: Path) -> BackendConfig:
+def _config_from_dict(entry: dict, base_dir: Path, where: str) -> BackendConfig:
     entry = dict(entry)
-    script = entry.get("script", [])
     script_path = entry.pop("script_path", None)
     if script_path is not None:
         path = Path(script_path)
         if not path.is_absolute():
             path = base_dir / path
-        script = json.loads(path.read_text(encoding="utf-8"))
-    entry["script"] = script
+        entry["script"] = json.loads(path.read_text(encoding="utf-8"))
+    check_field_types(where, entry, _CONFIG_TYPES)
     if "latency_ms" in entry:
         entry["latency_ms"] = tuple(entry["latency_ms"])
     return BackendConfig(**entry)
@@ -478,7 +507,10 @@ def load_backend_configs(path: str | Path) -> list[BackendConfig]:
         unknown = sorted(set(entry) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{path}: entry {i} has unknown field(s) {', '.join(unknown)}")
-    return [_config_from_dict(e, base_dir=path.parent) for e in entries]
+    return [
+        _config_from_dict(e, base_dir=path.parent, where=f"{path}: entry {i}")
+        for i, e in enumerate(entries)
+    ]
 
 
 def build_client(configs: list[BackendConfig], session: requests.Session | None = None) -> ChatClient:

@@ -172,11 +172,12 @@ def _cmd_eval(args) -> int:
         ),
     )
     report = evaluate(records, client, pool, cfg, params=params, embedder=embedder, store=store)
+    text = render_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report, "json"))
+            fh.write(text if args.format == "json" else render_report(report, "json"))
         logger.info("report written to %s", args.out)
-    print(render_report(report, args.format), end="")
+    print(text, end="")
     return 0
 
 

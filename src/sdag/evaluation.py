@@ -10,11 +10,14 @@ or measured time otherwise.
 
 from __future__ import annotations
 
+import functools
 import json
+import json.encoder
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -238,10 +241,69 @@ def evaluate(
     )
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per nesting depth
+def _c_encoder(inner: str):
+    """The C encoder that writes a container of scalars with each item on its
+    own line at indentation `inner`, as json.dumps would with indent=2."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + inner, True, False, True,
+    )
+
+
+def _emit_indented(obj, pad: str, out: list[str]) -> None:
+    """Append the indented text of container `obj`, whose brackets sit at `pad`."""
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = pad + "  "
+    encode = _c_encoder(inner)
+    is_dict = isinstance(obj, dict)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        # Escaped strings hold no raw newline, so the item separator is the
+        # only one: re-pad the brackets and the text is the indented form.
+        body = "".join(encode(obj, 0))
+        out += (body[0], "\n", inner, body[1:-1], "\n", pad, body[-1])
+        return
+    items = sorted(obj.items()) if is_dict else obj
+    out.append("{" if is_dict else "[")
+    separator = "\n" + inner
+    for item in items:
+        out.append(separator)
+        separator = ",\n" + inner
+        if is_dict:
+            key, item = item
+            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
+        if isinstance(item, _CONTAINERS):
+            _emit_indented(item, inner, out)
+        else:
+            out.extend(encode(item, 0))
+    out.append("\n" + pad + ("}" if is_dict else "]"))
+
+
+def _canonical_json(obj) -> str:
+    """Exactly `json.dumps(obj, sort_keys=True, indent=2)` for a tree of
+    string-keyed dicts, lists and scalars, such as `EvalReport.to_dict()`.
+
+    CPython's C encoder cannot indent, so json.dumps runs its pure-Python
+    encoder here. This walk writes the nesting in Python and hands every
+    container of scalars (each trace record, the bulk of a report) to the C
+    encoder in one call.
+    """
+    if json.encoder.c_make_encoder is None or not isinstance(obj, _CONTAINERS):
+        return json.dumps(obj, sort_keys=True, indent=2)
+    out: list[str] = []
+    _emit_indented(obj, "", out)
+    return "".join(out)
+
+
 def render_report(report: EvalReport, format: str = "text") -> str:
     """Table-shaped text summary, or canonical JSON (byte-stable)."""
     if format == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _canonical_json(report.to_dict()) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
     header = ("Variant", "Accuracy", "Inf. Time", "#LLM Calls")

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import ChatClient, ChatRequest, read_entries
+from .backends import ChatClient, ChatRequest, check_field_types, read_entries
 from .errors import (
     CorruptProfileStore,
     EmptyPool,
@@ -55,9 +55,24 @@ class ModelPoolEntry:
             raise ValueError(f"model {self.model_id!r}: backend ref is required")
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+_POOL_TYPES = {
+    "model_id": (_is_str, "a string"),
+    "backend": (_is_str, "a string"),
+    "declared_subjects": (
+        lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"
+    ),
+}
+
+
 def load_pool(path: str | Path) -> list[ModelPoolEntry]:
     """Read a pool file: a list, or {"models": [...]}."""
     entries = read_entries(Path(path), "models", ("model_id", "backend"))
+    for i, e in enumerate(entries):
+        check_field_types(f"{path}: entry {i}", e, _POOL_TYPES)
     pool = [
         ModelPoolEntry(
             model_id=e["model_id"],

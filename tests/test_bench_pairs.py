@@ -1,0 +1,66 @@
+"""The parent/change pair summary of tools/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def run(pair, side, failed=0, correct=True, **values):
+    metrics = {name: {"value": v, "unit": "x"} for name, v in values.items()}
+    result = {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
+    return {"workload": "w", "pair": pair, "side": side, "result": result}
+
+
+BETTER = {"qps": "higher", "rss": "lower"}
+
+
+def test_summary_quartiles_wins_and_ties():
+    runs = [
+        run(1, "parent", qps=10.0, rss=50.0), run(1, "change", qps=12.0, rss=50.0),
+        run(2, "change", qps=9.0, rss=40.0), run(2, "parent", qps=11.0, rss=60.0),
+        run(3, "parent", qps=12.0, rss=70.0), run(3, "change", qps=13.0, rss=80.0),
+    ]
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert summary["pairs"] == 3
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["correct"] == {"parent": True, "change": True}
+    qps = summary["metrics"]["qps"]
+    assert qps["better"] == "higher"
+    assert qps["parent_q1_median_q3"] == [10.5, 11.0, 11.5]
+    assert qps["change_q1_median_q3"] == [10.5, 12.0, 12.5]
+    assert qps["median_change_pct"] == 9.09
+    assert qps["parent_iqr"] == 1.0
+    assert qps["change_wins"] == "2/3"
+    # Lower is better: pair 2 is a win, pair 3 a loss and pair 1 a tie,
+    # which counts for neither side.
+    rss = summary["metrics"]["rss"]
+    assert rss["better"] == "lower"
+    assert rss["change_wins"] == "1/3"
+    assert rss["median_change_pct"] == -16.67
+    assert rss["parent_iqr"] == 10.0
+
+
+def test_summary_counts_failures_and_skips_unknown_metrics():
+    runs = [
+        run(1, "parent", qps=10.0, other=1.0),
+        run(1, "change", failed=2, correct=False, qps=10.0, other=2.0),
+    ]
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert summary["failed"] == {"parent": 0, "change": 2}
+    assert summary["correct"] == {"parent": True, "change": False}
+    assert set(summary["metrics"]) == {"qps"}
+    assert summary["metrics"]["qps"]["parent_q1_median_q3"] == [10.0, 10.0, 10.0]
+    assert summary["metrics"]["qps"]["change_wins"] == "0/1"
+
+
+def test_directions_cover_every_benchmark_metric():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    directions = bench_pairs.metric_directions(benchmark)
+    assert directions["qps.no_gnn"] == "higher"
+    assert directions["peak_rss_mb"] == "lower"
+    assert set(directions.values()) == {"higher", "lower"}

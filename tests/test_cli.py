@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import sdag.cli
 from sdag.cli import main
 from sdag.curation import read_records
 from sdag.profiling import load_pool, load_profiles
@@ -259,6 +260,30 @@ def test_eval_no_gnn_full_accuracy(pipeline, tmp_path):
     assert json.loads(out) == report
 
 
+def test_eval_renders_json_report_once(pipeline, tmp_path, monkeypatch):
+    formats = []
+    real_render = sdag.cli.render_report
+
+    def spy(report, format="text"):
+        formats.append(format)
+        return real_render(report, format)
+
+    monkeypatch.setattr(sdag.cli, "render_report", spy)
+    report_path = tmp_path / "report.json"
+    code, out = run_cli(
+        eval_argv(
+            pipeline,
+            "no_gnn",
+            ["--profiles", str(pipeline["profiles"]), "--out", str(report_path),
+             "--format", "json"],
+        )
+    )
+    assert code == 0
+    assert formats == ["json"]
+    assert report_path.read_text(encoding="utf-8") == out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_eval_sdag_mode_runs(pipeline, tmp_path):
     report_path = tmp_path / "sdag_report.json"
     code, _ = run_cli(
@@ -475,24 +500,40 @@ def test_verbose_flag_accepted(workspace, tmp_path):
     assert code == 0
 
 
+# Each breakage of entry 1 of the pool (models) or backend file (entries),
+# keyed by the error it must produce.
+BREAKAGES = {
+    "entry 1 lacks backend": lambda models, entries: models[1].pop("backend"),
+    "entry 1 has unknown field(s) scirpt":
+        lambda models, entries: entries[1].update(scirpt=entries[1].pop("script")),
+    "entry 1: latency_ms must be a list of two numbers":
+        lambda models, entries: entries[1].update(latency_ms=5),
+    "entry 1: retries must be an integer":
+        lambda models, entries: entries[1].update(retries="3"),
+    "entry 1: declared_subjects must be a list of strings":
+        lambda models, entries: models[1].update(declared_subjects=[3]),
+}
+
+
 @pytest.mark.parametrize(
     "broken, expect",
     [
         ("pool", "entry 1 lacks backend"),
         ("backends", "entry 1 has unknown field(s) scirpt"),
+        ("backends", "entry 1: latency_ms must be a list of two numbers"),
+        ("backends", "entry 1: retries must be an integer"),
+        ("pool", "entry 1: declared_subjects must be a list of strings"),
     ],
 )
 def test_malformed_pool_or_backend_file_exits_two(pipeline, tmp_path, broken, expect):
-    # A pool entry without `backend`, or a backend entry with a misspelt
-    # field, is a misconfiguration: exit 2 with one error line, no traceback.
+    # A pool entry without `backend`, a backend entry with a misspelt field,
+    # or a field of the wrong type is a misconfiguration: exit 2 with one
+    # error line, no traceback.
     pool = tmp_path / "pool.json"
     backends = tmp_path / "backends.json"
     models = [dict(m) for m in POOL_MODELS]
     entries = json.loads(pipeline["backends"].read_text(encoding="utf-8"))["backends"]
-    if broken == "pool":
-        del models[1]["backend"]
-    else:
-        entries[1]["scirpt"] = entries[1].pop("script")
+    BREAKAGES[expect](models, entries)
     pool.write_text(json.dumps({"models": models}), encoding="utf-8")
     backends.write_text(json.dumps({"backends": entries}), encoding="utf-8")
     proc = subprocess.run(

@@ -2,8 +2,13 @@
 
 import dataclasses
 import json
+import json.encoder
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdag.evaluation
 from conftest import make_profiling_records, oracle_client, oracle_pool
@@ -12,6 +17,7 @@ from sdag.evaluation import (
     MODES,
     EvalConfig,
     EvalReport,
+    _canonical_json,
     evaluate,
     render_report,
 )
@@ -271,6 +277,57 @@ def test_render_json_round_trip():
     assert json.loads(blob) == report.to_dict()
     assert render_report(report, "json") == blob  # byte stable
     assert blob.endswith("\n")
+
+
+# Keys and strings the renderer must escape exactly as the stdlib does,
+# including text that looks like the indented separator between records.
+JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["é", "\u2028", "\ud800", "\x00\x1f\x7f", '"q"', "back\\slash",
+                     "},\n    {", "\n", ""]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e308]),
+    st.floats().map(np.float64),
+    JSON_STRINGS,
+)
+
+
+def json_trees(depth: int = 6):
+    """Scalars, lists and string-keyed dicts nested up to `depth` levels."""
+    if depth == 0:
+        return JSON_SCALARS
+    children = json_trees(depth - 1)
+    return st.one_of(
+        JSON_SCALARS,
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    )
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+@settings(max_examples=400, deadline=None)
+@given(tree=json_trees())
+def test_canonical_json_matches_stdlib(c_encoder, tree):
+    available = json.encoder.c_make_encoder if c_encoder else None
+    with mock.patch.object(json.encoder, "c_make_encoder", available):
+        assert _canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_render_json_matches_stdlib_in_every_mode(mode, trained_router, oracle_store):
+    report = evaluate(
+        trained_router.held_records[:6], oracle_client(), oracle_pool(),
+        EvalConfig(mode=mode, seeds=2),
+        params=trained_router.params, embedder=trained_router.embedder,
+        store=oracle_store,
+    )
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert render_report(report, "json") == expected
 
 
 def test_render_unknown_format():

@@ -474,26 +474,34 @@ def _is_optional_str(value) -> bool:
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(BackendConfig)) | {"script_path"}
 _CONFIG_TYPES = {
-    **{name: (_is_int, "an integer") for name in ("max_in_flight", "timeout_ms", "retries", "seed")},
+    "name": (lambda v: isinstance(v, str), "a string"),
+    **{
+        name: (_is_int, "an integer")
+        for name in ("max_in_flight", "timeout_ms", "retries", "seed")
+    },
     "backoff_s": (_is_number, "a number"),
     "latency_ms": (
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
         "a list of two numbers",
     ),
     "script": (lambda v: isinstance(v, list), "a list"),
-    **{name: (_is_optional_str, "a string or null") for name in ("url", "model", "key_env")},
+    **{
+        name: (_is_optional_str, "a string or null")
+        for name in ("url", "model", "key_env", "script_path")
+    },
 }
 
 
 def _config_from_dict(entry: dict, base_dir: Path, where: str) -> BackendConfig:
     entry = dict(entry)
+    check_field_types(where, entry, _CONFIG_TYPES)
     script_path = entry.pop("script_path", None)
     if script_path is not None:
         path = Path(script_path)
         if not path.is_absolute():
             path = base_dir / path
         entry["script"] = json.loads(path.read_text(encoding="utf-8"))
-    check_field_types(where, entry, _CONFIG_TYPES)
+        check_field_types(f"{where}: {path}", entry, _CONFIG_TYPES)
     if "latency_ms" in entry:
         entry["latency_ms"] = tuple(entry["latency_ms"])
     return BackendConfig(**entry)

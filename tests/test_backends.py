@@ -460,6 +460,15 @@ def test_script_path_resolves_relative_to_config_file(tmp_path):
     assert configs[0].script == rules
 
 
+def test_script_path_file_must_hold_a_list(tmp_path):
+    (tmp_path / "rules.json").write_text("5")
+    config_path = tmp_path / "backends.json"
+    config_path.write_text(json.dumps([{"name": "m", "kind": "mock", "script_path": "rules.json"}]))
+    with pytest.raises(ValueError) as info:
+        load_backend_configs(config_path)
+    assert str(info.value) == f"{config_path}: entry 0: {tmp_path / 'rules.json'}: script must be a list"
+
+
 def test_load_backend_configs_plain_list(tmp_path):
     path = tmp_path / "backends.json"
     path.write_text(json.dumps([{"name": "m", "kind": "mock", "script": [{"reply": "x"}]}]))
@@ -478,6 +487,22 @@ def test_load_backend_configs_plain_list(tmp_path):
         ([{}], "entry 0 lacks name, kind"),
         ([{"name": "m", "kind": "mock", "scirpt": [], "sede": 1}],
          "entry 0 has unknown field(s) scirpt, sede"),
+        ([{"name": ["m"], "kind": "mock"}], "entry 0: name must be a string"),
+        ([{"name": "m", "kind": "mock", "max_in_flight": True}],
+         "entry 0: max_in_flight must be an integer"),
+        ([{"name": "m", "kind": "mock", "timeout_ms": 1.5}], "entry 0: timeout_ms must be an integer"),
+        ([{"name": "m", "kind": "mock", "seed": None}], "entry 0: seed must be an integer"),
+        ([{"name": "m", "kind": "mock", "backoff_s": "1"}], "entry 0: backoff_s must be a number"),
+        ([{"name": "m", "kind": "mock", "latency_ms": [1]}],
+         "entry 0: latency_ms must be a list of two numbers"),
+        ([{"name": "m", "kind": "mock", "latency_ms": [1, False]}],
+         "entry 0: latency_ms must be a list of two numbers"),
+        ([{"name": "m", "kind": "mock", "script": {"reply": "x"}}], "entry 0: script must be a list"),
+        ([{"name": "m", "kind": "remote", "url": 5}], "entry 0: url must be a string or null"),
+        ([{"name": "m", "kind": "remote", "url": "u", "key_env": []}],
+         "entry 0: key_env must be a string or null"),
+        ([{"name": "m", "kind": "mock", "script_path": 5}],
+         "entry 0: script_path must be a string or null"),
     ],
 )
 def test_malformed_backend_config_names_file_and_entry(tmp_path, raw, message):

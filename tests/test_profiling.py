@@ -380,6 +380,12 @@ def test_load_pool_empty(tmp_path):
         ([{"model_id": "m", "backend": "b"}, ["m", "b"]], "entry 1 is not an object"),
         ([{"backend": "b"}], "entry 0 lacks model_id"),
         ([{"model_id": "m", "backend": "b"}, {"model_id": "m2"}], "entry 1 lacks backend"),
+        ([{"model_id": 5, "backend": "b"}], "entry 0: model_id must be a string"),
+        ([{"model_id": "m", "backend": None}], "entry 0: backend must be a string"),
+        ([{"model_id": "m", "backend": "b", "declared_subjects": "Math"}],
+         "entry 0: declared_subjects must be a list of strings"),
+        ([{"model_id": "m", "backend": "b", "declared_subjects": ["Math", 3]}],
+         "entry 0: declared_subjects must be a list of strings"),
     ],
 )
 def test_malformed_pool_names_file_and_entry(tmp_path, raw, message):

@@ -5,9 +5,10 @@
 
 Pair i runs `python3 perfbench/run.py --workload W --seed i --seconds 25` in
 each tree, one run at a time; the parent runs first in odd pairs. Each run
-keeps its `# env:` line and its final JSON line. The runs and a summary of
-the workload are merged into the output file, replacing that workload's
-earlier entries, so one file can hold several workloads.
+keeps its `# env:` line and its final JSON line. The runs are added to the
+output file, after any earlier pairs of the same workload (numbering and
+seeds continue from them), and the workload's summary is recomputed over all
+of its pairs, so one file holds every run made of several workloads.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to merge into")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to add the runs to")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -119,8 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     key = args.workload + ("/trace" if args.trace else "")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
+    record = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
+              else {"what": WHAT, "runs": []})
+    earlier = [r for r in record["runs"]
+               if (r["workload"], r["trace"]) == (args.workload, args.trace)]
+    first = max((r["pair"] for r in earlier), default=0) + 1
+
     runs = []
-    for pair in range(1, args.pairs + 1):
+    for pair in range(first, first + args.pairs):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
             run = {"workload": args.workload, "pair": pair, "seed": pair, "side": side,
@@ -130,14 +137,11 @@ def main(argv: list[str] | None = None) -> int:
             runs.append(run)
             print(f"{key} pair {pair} {side}: exit {run['exit']}, {run['wall_s']} s", flush=True)
 
-    record = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
-              else {"what": WHAT})
+    record["runs"] += runs
     for side in SIDES:
-        revs = {r["env"]["git_rev"] for r in runs if r["side"] == side and r["env"]}
+        revs = {r["env"]["git_rev"] for r in record["runs"] if r["side"] == side and r["env"]}
         record[side] = ", ".join(sorted(revs))
-    record.setdefault("summary", {})[key] = summarize(runs, better)
-    record["runs"] = [r for r in record.get("runs", [])
-                      if (r["workload"], r["trace"]) != (args.workload, args.trace)] + runs
+    record.setdefault("summary", {})[key] = summarize(earlier + runs, better)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 

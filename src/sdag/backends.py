@@ -105,6 +105,11 @@ class BackendConfig:
         lo, hi = self.latency_ms
         if lo < 0 or hi < lo:
             raise ValueError(f"latency_ms range invalid: {self.latency_ms}")
+        if self.kind == "mock":
+            try:
+                parse_rules(self.script)
+            except ValueError as exc:
+                raise ValueError(f"mock backend {self.name!r}: {exc}") from None
 
 
 # -- mock scripts -----------------------------------------------------------
@@ -112,14 +117,14 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class MockRule:
-    """One script entry. Exactly one matcher: substring, regex, metadata
-    ({field, equals} literal or {field, equals_field} cross-reference), or
-    default. First matching rule in file order wins.
+    """One script entry. Exactly one matcher: substring, regex (compiled by
+    `parse_rules`), metadata ({field, equals} literal or {field, equals_field}
+    cross-reference), or default. First matching rule in file order wins.
     """
 
     reply: str
     substring: str | None = None
-    regex: str | None = None
+    regex: re.Pattern | None = None
     meta_field: str | None = None
     meta_equals: str | None = None
     meta_equals_field: str | None = None
@@ -131,7 +136,7 @@ class MockRule:
         if self.substring is not None:
             return self.substring in _full_text(req)
         if self.regex is not None:
-            return re.search(self.regex, _full_text(req)) is not None
+            return self.regex.search(_full_text(req)) is not None
         if self.meta_field is not None:
             value = req.metadata.get(self.meta_field)
             if self.meta_equals_field is not None:
@@ -145,22 +150,39 @@ def _full_text(req: ChatRequest) -> str:
 
 
 def parse_rules(raw: list) -> list[MockRule]:
+    """Check and compile a mock script; raises ValueError naming the bad rule."""
     rules = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "reply" not in entry:
-            raise ValueError(f"mock rule {i} must be an object with a reply")
+        if not isinstance(entry, dict) or not isinstance(entry.get("reply"), str):
+            raise ValueError(f"mock rule {i} must be an object with a string reply")
+        reply = entry["reply"]
         match = entry.get("match", "default")
         if match == "default" or entry.get("default"):
-            rules.append(MockRule(reply=entry["reply"], default=True))
+            rules.append(MockRule(reply=reply, default=True))
         elif isinstance(match, dict) and "substring" in match:
-            rules.append(MockRule(reply=entry["reply"], substring=match["substring"]))
+            if not isinstance(match["substring"], str):
+                raise ValueError(f"mock rule {i}: substring must be a string")
+            rules.append(MockRule(reply=reply, substring=match["substring"]))
         elif isinstance(match, dict) and "regex" in match:
-            rules.append(MockRule(reply=entry["reply"], regex=match["regex"]))
+            try:
+                regex = re.compile(match["regex"])
+            except (re.error, TypeError) as exc:
+                raise ValueError(f"mock rule {i}: bad regex {match['regex']!r}: {exc}") from None
+            rules.append(MockRule(reply=reply, regex=regex))
         elif isinstance(match, dict) and "metadata" in match:
             spec = match["metadata"]
+            if (
+                not isinstance(spec, dict)
+                or not isinstance(spec.get("field"), str)
+                or ("equals" in spec) == ("equals_field" in spec)
+            ):
+                raise ValueError(
+                    f"mock rule {i}: a metadata matcher needs a string field and "
+                    f"exactly one of equals/equals_field, got {spec!r}"
+                )
             rules.append(
                 MockRule(
-                    reply=entry["reply"],
+                    reply=reply,
                     meta_field=spec["field"],
                     meta_equals=spec.get("equals"),
                     meta_equals_field=spec.get("equals_field"),

@@ -26,6 +26,7 @@ from .errors import (
     TransportError,
     UnknownSubject,
 )
+from .fileio import atomic_writer
 from .subjects import (
     MAX_DAG_NODES,
     QuestionRecord,
@@ -312,7 +313,8 @@ def write_records(records: list[QuestionRecord], path: str | Path) -> None:
     lines = [
         json.dumps(record_to_dict(r), sort_keys=True, ensure_ascii=False) for r in records
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_records(path: str | Path) -> list[QuestionRecord]:

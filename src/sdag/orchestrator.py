@@ -32,6 +32,7 @@ from typing import Callable
 
 from .backends import ChatClient, ChatRequest
 from .errors import RoleInputMismatch, TransportError
+from .fileio import atomic_writer
 from .subjects import QuestionRecord, SDag, SDagNode, Subject
 
 logger = logging.getLogger(__name__)
@@ -252,7 +253,8 @@ class ExecutionTrace:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        with atomic_writer(path) as f:
+            f.write(self.to_jsonl())
 
 
 def _question_id(question: QuestionRecord | str) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     UnknownSubject,
     VersionMismatch,
 )
+from .fileio import atomic_writer
 from .subjects import (
     NUM_SUBJECTS,
     SUBJECTS,
@@ -270,7 +271,8 @@ def save_profiles(store: ProfileStore, path: str | Path) -> None:
         },
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(text + "\n")
 
 
 def load_profiles(path: str | Path) -> ProfileStore:

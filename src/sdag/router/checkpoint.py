@@ -9,12 +9,12 @@ tensor by tensor into a temporary file that replaces the target.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import CorruptCheckpoint, VersionMismatch
+from ..fileio import atomic_writer
 from .model import RouterDims, RouterParams, tensor_shapes
 
 CHECKPOINT_VERSION = 2
@@ -29,11 +29,10 @@ def save_checkpoint(params: RouterParams, path: str | Path) -> None:
 
     The bytes equal json.dumps(payload, sort_keys=True, allow_nan=False,
     separators=(",", ":")) + "\n" of the whole payload, but only one tensor's
-    float list and JSON text exist at once. The text goes to a temporary file
-    beside `path` that is renamed onto it, so a failed save (say, a tensor
-    that turned non-finite) leaves any previous checkpoint intact.
+    float list and JSON text exist at once. The text goes through
+    `atomic_writer`, so a failed save (say, a tensor that turned non-finite)
+    leaves any previous checkpoint intact.
     """
-    path = Path(path)
     dims = {
         "d_s": params.dims.d_s,
         "d_q": params.dims.d_q,
@@ -41,21 +40,14 @@ def save_checkpoint(params: RouterParams, path: str | Path) -> None:
         "L": params.dims.L,
         "activation": params.dims.activation,
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")  # exclusive: never clobbers another file
-    try:
-        with f:
-            # Top-level keys in sorted order, as sort_keys=True would emit them.
-            f.write(f'{{"dims":{_dumps(dims)},"embedder":{_dumps(params.embedder)},')
-            f.write(f'"seed":{_dumps(params.seed)},"tensors":{{')
-            for i, name in enumerate(sorted(params.tensors)):
-                values = _dumps(params.tensors[name].reshape(-1).tolist())
-                f.write(f'{"," if i else ""}{_dumps(name)}:{values}')
-            f.write(f'}},"version":{CHECKPOINT_VERSION}}}\n')
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_writer(path) as f:
+        # Top-level keys in sorted order, as sort_keys=True would emit them.
+        f.write(f'{{"dims":{_dumps(dims)},"embedder":{_dumps(params.embedder)},')
+        f.write(f'"seed":{_dumps(params.seed)},"tensors":{{')
+        for i, name in enumerate(sorted(params.tensors)):
+            values = _dumps(params.tensors[name].reshape(-1).tolist())
+            f.write(f'{"," if i else ""}{_dumps(name)}:{values}')
+        f.write(f'}},"version":{CHECKPOINT_VERSION}}}\n')
 
 
 def load_checkpoint(path: str | Path) -> RouterParams:

@@ -65,13 +65,14 @@ def masked_bce_loss(
 ) -> float:
     """Evaluate the objective on already-computed probabilities."""
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
-    return _masked_bce(output, node_labels, edge_labels, config)
+    return _masked_bce(output, node_labels, edge_labels, edge_mask(node_labels), config)
 
 
 def _masked_bce(
-    output: RouterOutput, node_labels: Array, edge_labels: Array, config: LossConfig
+    output: RouterOutput, node_labels: Array, edge_labels: Array, mask: Array,
+    config: LossConfig,
 ) -> float:
-    """`masked_bce_loss` on labels that `_check_labels` already returned."""
+    """`masked_bce_loss` on checked labels and their `edge_mask`."""
     node_p = np.clip(np.asarray(output.node_probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     pair_p = np.clip(
         np.asarray(output.edge_probs, dtype=np.float64)[PAIR_SRC, PAIR_DST],
@@ -79,10 +80,10 @@ def _masked_bce(
         1.0 - PROB_EPS,
     )
     pair_y = edge_labels[PAIR_SRC, PAIR_DST]
-    mask = edge_mask(node_labels)[PAIR_SRC, PAIR_DST]
+    pair_mask = mask[PAIR_SRC, PAIR_DST]
 
     node_sum = (node_labels * np.log(node_p) + (1.0 - node_labels) * np.log(1.0 - node_p)).sum()
-    edge_sum = ((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p)) * mask).sum()
+    edge_sum = ((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p)) * pair_mask).sum()
     loss = config.lambda_node * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
@@ -108,13 +109,10 @@ def logit_gradients(
     """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
     output = tape.output()
-    value = _masked_bce(output, node_labels, edge_labels, config)
+    mask = edge_mask(node_labels)
+    value = _masked_bce(output, node_labels, edge_labels, mask, config)
     d_node = config.lambda_node * _clamped_residual(output.node_probs, node_labels)
-    d_edge = (
-        config.lambda_edge
-        * edge_mask(node_labels)
-        * _clamped_residual(output.edge_probs, edge_labels)
-    )
+    d_edge = config.lambda_edge * mask * _clamped_residual(output.edge_probs, edge_labels)
     return value, d_node, d_edge
 
 
@@ -124,11 +122,15 @@ def loss_and_gradients(
     node_labels: Array,
     edge_labels: Array,
     config: LossConfig = LossConfig(),
+    out: dict[str, Array] | None = None,
 ) -> tuple[float, dict[str, Array]]:
-    """Forward pass, objective, and hand-derived parameter gradients."""
+    """Forward pass, objective, and hand-derived parameter gradients.
+
+    Gradients are written into `out` when given (see `backward`).
+    """
     tape = ForwardTape(params, h_q)
     value, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels, config)
-    return value, backward(tape, d_node, d_edge)
+    return value, backward(tape, d_node, d_edge, out)
 
 
 def loss_for_dag_output(

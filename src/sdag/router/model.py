@@ -134,7 +134,8 @@ class RouterOutput:
 
 def _sigmoid(x: Array) -> Array:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with one divide.
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def _activate(dims: RouterDims, pre: Array) -> Array:
@@ -186,14 +187,12 @@ def _heads_stage(params: RouterParams, x: Array, h_q: Array) -> tuple[Array, Arr
     node_hidden = np.maximum(x @ t["node_head.w1"] + t["node_head.b1"], 0.0)
     node_logits = node_hidden @ t["node_head.w2"][:, 0] + t["node_head.b2"][0]
 
-    # concat(x[i], x[j], h_q) @ w1, split into its source, target and question blocks.
+    # concat(x[i], x[j], h_q) @ w1, split into its source, target and question
+    # blocks, summed and rectified in one 15 x 15 x h buffer.
     w1 = t["edge_head.w1"]
-    edge_pre = (
-        (x @ w1[:h])[:, None, :]
-        + (x @ w1[h : 2 * h])[None, :, :]
-        + (h_q @ w1[2 * h :] + t["edge_head.b1"])
-    )
-    edge_hidden = np.maximum(edge_pre, 0.0)
+    edge_hidden = np.add((x @ w1[:h])[:, None, :], x @ w1[h : 2 * h])
+    edge_hidden += h_q @ w1[2 * h :] + t["edge_head.b1"]
+    np.maximum(edge_hidden, 0.0, out=edge_hidden)
     edge_logits = edge_hidden @ t["edge_head.w2"][:, 0] + t["edge_head.b2"][0]
     return node_hidden, node_logits, edge_hidden, edge_logits
 
@@ -233,52 +232,64 @@ class ForwardTape:
         return _output(self.node_logits, self.edge_logits)
 
 
-def backward(tape: ForwardTape, d_node_logits: Array, d_edge_logits: Array) -> dict[str, Array]:
+def backward(
+    tape: ForwardTape,
+    d_node_logits: Array,
+    d_edge_logits: Array,
+    out: dict[str, Array] | None = None,
+) -> dict[str, Array]:
     """Gradient of every parameter, given the loss gradient at the logits.
 
     `d_node_logits` has shape (15,); `d_edge_logits` is the 15 x 15 grid of
-    `ForwardTape.edge_logits` and must have a zero diagonal. Gradients are
-    returned in tensor order.
+    `ForwardTape.edge_logits` and must have a zero diagonal. Each gradient is
+    written into `out[name]`, a C-contiguous float64 array of the tensor's
+    shape, which is overwritten in full and returned; `train()` passes views
+    of Adam's flat gradient buffer. Without `out`, fresh arrays are returned.
+    Gradients are returned in tensor order.
     """
     t, dims = tape.params.tensors, tape.params.dims
-    h = dims.h
+    h, d_s = dims.h, dims.d_s
     x = tape.x_final
-    g: dict[str, Array] = {}
+    g = out if out is not None else {name: np.empty_like(arr) for name, arr in t.items()}
 
-    d_hidden = np.outer(d_node_logits, t["node_head.w2"][:, 0]) * (tape.node_hidden > 0.0)
-    g["node_head.w2"] = (tape.node_hidden.T @ d_node_logits)[:, None]
-    g["node_head.b2"] = np.array([d_node_logits.sum()])
-    g["node_head.w1"] = x.T @ d_hidden
-    g["node_head.b1"] = d_hidden.sum(axis=0)
+    d_hidden = np.multiply.outer(d_node_logits, t["node_head.w2"][:, 0])
+    d_hidden *= tape.node_hidden > 0.0
+    np.matmul(tape.node_hidden.T, d_node_logits, out=g["node_head.w2"][:, 0])
+    g["node_head.b2"][0] = d_node_logits.sum()
+    np.matmul(x.T, d_hidden, out=g["node_head.w1"])
+    np.sum(d_hidden, axis=0, out=g["node_head.b1"])
     dx = d_hidden @ t["node_head.w1"].T
 
     # Each block of the edge head's w1 collects its gradient summed over the
     # axis of the grid it was broadcast along.
-    d_pre = d_edge_logits[:, :, None] * t["edge_head.w2"][:, 0] * (tape.edge_hidden > 0.0)
+    d_pre = np.multiply(d_edge_logits[:, :, None], t["edge_head.w2"][:, 0])
+    d_pre *= tape.edge_hidden > 0.0
     d_src, d_dst = d_pre.sum(axis=1), d_pre.sum(axis=0)
-    d_question = d_src.sum(axis=0)
-    w1 = t["edge_head.w1"]
-    g["edge_head.w2"] = (tape.edge_hidden.reshape(-1, h).T @ d_edge_logits.reshape(-1))[:, None]
-    g["edge_head.b2"] = np.array([d_edge_logits.sum()])
-    g["edge_head.w1"] = np.concatenate([x.T @ d_src, x.T @ d_dst, np.outer(tape.h_q, d_question)])
-    g["edge_head.b1"] = d_question
+    d_question = np.sum(d_src, axis=0, out=g["edge_head.b1"])
+    w1, g_w1 = t["edge_head.w1"], g["edge_head.w1"]
+    np.matmul(tape.edge_hidden.reshape(-1, h).T, d_edge_logits.reshape(-1),
+              out=g["edge_head.w2"][:, 0])
+    g["edge_head.b2"][0] = d_edge_logits.sum()
+    np.matmul(x.T, d_src, out=g_w1[:h])
+    np.matmul(x.T, d_dst, out=g_w1[h : 2 * h])
+    np.multiply.outer(tape.h_q, d_question, out=g_w1[2 * h :])
     dx += d_src @ w1[:h].T + d_dst @ w1[h : 2 * h].T
 
     for layer in reversed(range(dims.L)):
         d_pre = _activation_grad(dims, dx, tape.xs[layer + 1])
-        g[f"mp{layer}.w_self"] = tape.xs[layer].T @ d_pre
-        g[f"mp{layer}.w_msg"] = tape.means[layer].T @ d_pre
-        g[f"mp{layer}.b"] = d_pre.sum(axis=0)
+        np.matmul(tape.xs[layer].T, d_pre, out=g[f"mp{layer}.w_self"])
+        np.matmul(tape.means[layer].T, d_pre, out=g[f"mp{layer}.w_msg"])
+        np.sum(d_pre, axis=0, out=g[f"mp{layer}.b"])
         d_mean = d_pre @ t[f"mp{layer}.w_msg"].T
         # The neighbour-mean operator is symmetric, hence its own transpose.
         dx = d_pre @ t[f"mp{layer}.w_self"].T + (d_mean.sum(axis=0) - d_mean) / (NUM_SUBJECTS - 1)
 
     d_pre = _activation_grad(dims, dx, tape.x0)
-    d_bias = d_pre.sum(axis=0)
-    w = t["init.w"]
-    g["subject_embeddings"] = d_pre @ w[: dims.d_s].T
-    g["init.w"] = np.concatenate([t["subject_embeddings"].T @ d_pre, np.outer(tape.h_q, d_bias)])
-    g["init.b"] = d_bias
+    d_bias = np.sum(d_pre, axis=0, out=g["init.b"])
+    w, g_w = t["init.w"], g["init.w"]
+    np.matmul(d_pre, w[:d_s].T, out=g["subject_embeddings"])
+    np.matmul(t["subject_embeddings"].T, d_pre, out=g_w[:d_s])
+    np.multiply.outer(tape.h_q, d_bias, out=g_w[d_s:])
     return {name: g[name] for name in t}
 
 

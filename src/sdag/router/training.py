@@ -7,8 +7,10 @@ parameters.
 `train()` lays out its working copy of the parameters in one flat float64
 buffer, in tensor order, and each of the copy's tensors is a reshaped view
 into it. Only that copy, which `train()` returns, views the buffer; the
-caller's parameters are never touched. Adam updates the whole buffer in place
-with a fixed handful of element-wise ufuncs per step.
+caller's parameters are never touched. Adam's gradient buffer shares that
+layout, and `backward` writes each step's gradients straight into views of it,
+so no gradient is copied. Adam then updates the whole parameter buffer in
+place with a fixed handful of element-wise ufuncs per step.
 """
 
 from __future__ import annotations
@@ -73,30 +75,30 @@ class _Adam:
     """Adam (Kingma & Ba) over one flat float64 parameter buffer, in place.
 
     `flat` is the buffer behind `train()`'s working copy of the parameters,
-    whose tensors are views into it in the order of `names`. The moments `m`
+    whose tensors are views into it in the order of `tensors`. The moments `m`
     and `v`, the gradient buffer `g` and one scratch buffer share its layout,
-    so a step allocates nothing. Each operation is element-wise and keeps the
-    operands and order of the per-tensor update
-    `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so results are bit for bit
-    those of updating each tensor on its own.
+    so a step allocates nothing. `grads` holds views of `g` shaped like
+    `tensors`; the caller writes a step's gradients into them before `step()`.
+    Each operation is element-wise and keeps the operands and order of the
+    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so results
+    are bit for bit those of updating each tensor on its own.
     """
 
-    def __init__(self, flat: Array, names: list[str], lr: float):
+    def __init__(self, flat: Array, tensors: dict[str, Array], lr: float):
         self.flat = flat
-        self.names = names
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.g = np.empty_like(flat)
+        self.grads = _views(self.g, tensors)
         self.scratch = np.empty_like(flat)
 
-    def step(self, grads: dict[str, Array]) -> None:
+    def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, g, s = self.m, self.v, self.g, self.scratch
-        np.concatenate([grads[name] for name in self.names], axis=None, out=g)
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
         np.square(g, out=s)  # exactly g * g, and faster than multiply(g, g)
@@ -112,15 +114,20 @@ class _Adam:
         self.flat -= s
 
 
+def _views(flat: Array, tensors: dict[str, Array]) -> dict[str, Array]:
+    """Reshaped views of `flat`, one per tensor, laid out in `tensors` order."""
+    views: dict[str, Array] = {}
+    start = 0
+    for name, arr in tensors.items():
+        views[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
+
+
 def _flat_copy(params: RouterParams) -> tuple[RouterParams, Array]:
     """Copy `params` into one flat float64 buffer; the copy's tensors view it."""
     flat = np.concatenate(list(params.tensors.values()), axis=None, dtype=np.float64)
-    tensors: dict[str, Array] = {}
-    start = 0
-    for name, arr in params.tensors.items():
-        tensors[name] = flat[start : start + arr.size].reshape(arr.shape)
-        start += arr.size
-    return replace(params, tensors=tensors), flat
+    return replace(params, tensors=_views(flat, params.tensors)), flat
 
 
 def train(
@@ -130,7 +137,7 @@ def train(
     if not samples:
         raise EmptySplit("no training samples")
     params, flat = _flat_copy(params)
-    optimizer = _Adam(flat, list(params.tensors), config.lr)
+    optimizer = _Adam(flat, params.tensors, config.lr)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
 
@@ -138,10 +145,11 @@ def train(
         epoch_losses = []
         for idx in rng.permutation(len(samples)):
             sample = samples[idx]
-            value, grads = loss_and_gradients(
-                params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss
+            value, _ = loss_and_gradients(
+                params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss,
+                out=optimizer.grads,
             )
-            optimizer.step(grads)
+            optimizer.step()
             epoch_losses.append(value)
         mean_loss = float(np.mean(epoch_losses))
         loss_curve.append(mean_loss)

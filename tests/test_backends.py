@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -137,6 +138,36 @@ def test_parse_rules_rejects_bad_entries():
         parse_rules([{"no_reply": True}])
     with pytest.raises(ValueError):
         parse_rules([{"reply": "x", "match": {"unknown_matcher": 1}}])
+
+
+@pytest.mark.parametrize(
+    "match",
+    [
+        {"metadata": {}},
+        {"metadata": "gold"},
+        {"metadata": {"field": 3, "equals": "A"}},
+        {"metadata": {"field": "gold"}},
+        {"metadata": {"field": "gold", "equals": "A", "equals_field": "candidate"}},
+        {"regex": "("},
+        {"regex": 5},
+        {"substring": 5},
+    ],
+)
+def test_parse_rules_rejects_malformed_matchers(match):
+    with pytest.raises(ValueError, match="mock rule 1"):
+        parse_rules([{"reply": "ok"}, {"match": match, "reply": "x"}])
+
+
+def test_parse_rules_compiles_regex_once():
+    (rule,) = parse_rules([{"match": {"regex": r"integral\s+of"}, "reply": "x"}])
+    assert isinstance(rule.regex, re.Pattern)
+    assert rule.matches(ChatRequest(backend="b", user="the integral  of x"))
+    assert not rule.matches(ChatRequest(backend="b", user="integralof"))
+
+
+def test_mock_backend_config_checks_its_script():
+    with pytest.raises(ValueError, match="mock backend 'm': mock rule 0"):
+        BackendConfig(name="m", kind="mock", script=[{"match": {"regex": "("}, "reply": "x"}])
 
 
 def test_mock_latency_deterministic_and_in_range():

@@ -553,3 +553,33 @@ def test_malformed_pool_or_backend_file_exits_two(pipeline, tmp_path, broken, ex
     assert f"{tmp_path / broken}.json: {expect}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "rule, expect",
+    [
+        ({"match": {"metadata": {}}, "reply": "x"}, "a metadata matcher needs a string field"),
+        ({"match": {"regex": "("}, "reply": "x"}, "bad regex '('"),
+    ],
+)
+def test_malformed_mock_rule_exits_two(pipeline, tmp_path, capsys, rule, expect):
+    # A mock rule is checked, and its regex compiled, when the backend file
+    # loads: no KeyError at build time, no re.error on the first call.
+    backends = tmp_path / "backends.json"
+    entries = json.loads(pipeline["backends"].read_text(encoding="utf-8"))["backends"]
+    entries[1]["script"] = [rule, *entries[1]["script"]]
+    backends.write_text(json.dumps({"backends": entries}), encoding="utf-8")
+    code, out = run_cli([
+        "eval",
+        "--mode", "single_cot",
+        "--single-cot-model", "expert-math",
+        "--data", str(pipeline["curated"]),
+        "--pool", str(pipeline["pool"]),
+        "--backends", str(backends),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "mock backend 'mock-expert': mock rule 0" in err
+    assert expect in err
+    assert "Traceback" not in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdag.router.loss import (
     PROB_EPS,
@@ -19,9 +21,17 @@ from sdag.router.model import (
     ForwardTape,
     RouterDims,
     RouterOutput,
+    backward,
     init_params,
 )
-from sdag.subjects import SDag, SDagEdge, SDagNode, Subject, build_ground_truth_dag
+from sdag.subjects import (
+    NUM_SUBJECTS,
+    SDag,
+    SDagEdge,
+    SDagNode,
+    Subject,
+    build_ground_truth_dag,
+)
 
 M, P, B = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY
 
@@ -241,3 +251,40 @@ def test_loss_and_gradients_accepts_list_labels():
     v_arr, g_arr = loss_and_gradients(params, h_q, np.array(s_list, float), np.array(a_list, float))
     assert v_list == v_arr
     assert all(np.array_equal(g_list[name], g_arr[name]) for name in g_arr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_s=st.integers(1, 6),
+    d_q=st.integers(1, 6),
+    h=st.integers(1, 6),
+    layers=st.sampled_from([1, 2]),
+    activation=st.sampled_from(["relu", "linear"]),
+    scale=st.sampled_from([0.1, 1.0]),
+    seed=st.integers(0, 2**16),
+    nodes=st.lists(st.booleans(), min_size=NUM_SUBJECTS, max_size=NUM_SUBJECTS),
+    edges=st.lists(st.booleans(), min_size=NUM_SUBJECTS**2, max_size=NUM_SUBJECTS**2),
+)
+def test_backward_into_out_matches_fresh_arrays(d_s, d_q, h, layers, activation, scale, seed,
+                                                nodes, edges):
+    dims = RouterDims(d_s=d_s, d_q=d_q, h=h, L=layers, activation=activation)
+    params = init_params(dims, seed=seed, scale=scale)
+    h_q = np.random.default_rng(seed).standard_normal(d_q)
+    node_labels = np.array(nodes, dtype=np.float64)
+    edge_labels = np.array(edges, dtype=np.float64).reshape(NUM_SUBJECTS, NUM_SUBJECTS)
+    np.fill_diagonal(edge_labels, 0.0)
+    tape = ForwardTape(params, h_q)
+    _, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels)
+
+    fresh = backward(tape, d_node, d_edge)
+    out = {name: np.full(arr.shape, np.nan) for name, arr in params.tensors.items()}
+    written = backward(tape, d_node, d_edge, out=out)
+
+    assert list(written) == list(fresh) == list(params.tensors)
+    for name, grad in written.items():
+        assert grad is out[name]
+        assert not np.isnan(grad).any(), name
+        assert grad.tobytes() == fresh[name].tobytes(), name
+    # loss_and_gradients hands `out` through to backward.
+    _, through = loss_and_gradients(params, h_q, node_labels, edge_labels, out=out)
+    assert all(through[name] is out[name] for name in out)

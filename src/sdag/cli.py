@@ -22,6 +22,7 @@ from .curation import (
 from .embedding import HashedEmbedder
 from .errors import SdagError
 from .evaluation import MODES, EvalConfig, evaluate, render_report
+from .fileio import atomic_writer
 from .orchestrator import execute_dag, execute_fcg
 from .profiling import (
     check_pool_backends,
@@ -174,7 +175,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(records, client, pool, cfg, params=params, embedder=embedder, store=store)
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_writer(args.out) as fh:
             fh.write(text if args.format == "json" else render_report(report, "json"))
         logger.info("report written to %s", args.out)
     print(text, end="")

@@ -158,7 +158,7 @@ def test_parse_rules_rejects_malformed_matchers(match):
         parse_rules([{"reply": "ok"}, {"match": match, "reply": "x"}])
 
 
-def test_parse_rules_compiles_regex_once():
+def test_parse_rules_compiles_regex_at_load():
     (rule,) = parse_rules([{"match": {"regex": r"integral\s+of"}, "reply": "x"}])
     assert isinstance(rule.regex, re.Pattern)
     assert rule.matches(ChatRequest(backend="b", user="the integral  of x"))

@@ -182,6 +182,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _ranged(convert, accepts, what: str):
+    """An argparse `type=` that rejects unparsable and out-of-range values, so
+    a bad flag is a usage error before any file is read."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_SIZE = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_THRESHOLD = _ranged(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_FRACTION = _ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_POSITIVE = _ranged(float, lambda v: v > 0.0, "a number > 0")
+
+
 def _add_backends_flag(sub) -> None:
     sub.add_argument("--backends", required=True, help="backend config JSON")
 
@@ -201,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backends_flag(p)
     p.add_argument("--backend", default="annotator", help="annotation backend name")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profiling-size", type=int, default=200)
-    p.add_argument("--train-ratio", type=float, default=0.7)
+    p.add_argument("--profiling-size", type=_SIZE, default=200)
+    p.add_argument("--train-ratio", type=_FRACTION, default=0.7)
     p.add_argument("--profiling-from-test", action="store_true")
     p.set_defaults(func=_cmd_curate)
 
@@ -210,14 +233,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="curated dataset JSONL")
     p.add_argument("--out", required=True, help="checkpoint JSON")
     p.add_argument("--split", default="train")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=_COUNT, default=30)
+    p.add_argument("--lr", type=_POSITIVE, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.1, help="annotation weight cutoff")
-    p.add_argument("--embedding-dim", type=int, default=256)
-    p.add_argument("--subject-dim", type=int, default=64)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--embedding-dim", type=_ranged(int, lambda v: v >= 2, "an integer >= 2"),
+                   default=256)
+    p.add_argument("--subject-dim", type=_COUNT, default=64)
+    p.add_argument("--hidden-dim", type=_COUNT, default=128)
+    p.add_argument("--layers", type=_COUNT, default=2)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("profile", help="score pool models on the profiling split")
@@ -238,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backends_flag(p)
     p.add_argument("--mode", choices=["sdag", "fcg"], default="sdag")
     p.add_argument("--trace", default="trace.jsonl", help="trace JSONL path")
-    p.add_argument("--node-threshold", type=float, default=0.5)
-    p.add_argument("--edge-threshold", type=float, default=0.5)
+    p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="benchmark a mode over a dataset split")
@@ -250,13 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="router checkpoint JSON")
     p.add_argument("--profiles", help="profile store JSON")
     p.add_argument("--split", default="test")
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--seeds", type=_COUNT, default=3)
+    p.add_argument("--parallelism", type=_COUNT, default=1)
     p.add_argument("--single-cot-model", help="pool model id for single_cot mode")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--node-threshold", type=float, default=0.5)
-    p.add_argument("--edge-threshold", type=float, default=0.5)
+    p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5)
     p.set_defaults(func=_cmd_eval)
     return parser
 

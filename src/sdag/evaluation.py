@@ -5,7 +5,8 @@ graphs without the router (no_gnn), fully connected execution (fcg), random
 model assignment (random_model), and a single-model chain-of-thought
 baseline (single_cot). Accuracy is averaged over seeded trials; wall time
 per question is the simulated critical path when every backend is a mock,
-or measured time otherwise.
+or measured time otherwise. Each question's DAG is built once, under the
+first seed, so measured time under later seeds excludes routing.
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ def evaluate(
         if cfg.mode in ("sdag", "no_gnn", "fcg") else None
     )
 
+    # A question's DAG does not depend on the seed: seed 0 builds it, later
+    # seeds reuse it by record index.
+    dags = [None] * len(records)
+
     def base_dag(record: QuestionRecord):
         # The router path never consults stored annotations; the annotation
         # path never consults the router.
@@ -179,7 +184,9 @@ def evaluate(
                 extra_metadata=extra,
             )
         else:
-            dag = base_dag(record)
+            if seed == 0:
+                dags[index] = base_dag(record)
+            dag = dags[index]
             subjects = dag.subjects()
             if cfg.mode == "random_model":
                 rng = np.random.default_rng([seed, index])

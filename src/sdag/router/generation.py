@@ -35,8 +35,8 @@ def _best(indices: list[int], probs: Array) -> int:
     return min(indices, key=lambda i: (-probs[i], i))
 
 
-def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig) -> SDag:
-    """Apply node/edge thresholds, the node cap, and acyclicity repair."""
+def kept_nodes(node_probs: Array, config: GenerationConfig) -> list[int]:
+    """Indices of the subjects a DAG keeps, in canonical order."""
     probs = np.asarray(node_probs, dtype=np.float64)
     kept = [i for i in range(len(SUBJECTS)) if probs[i] > config.node_threshold]
     if len(kept) > MAX_DAG_NODES:
@@ -47,8 +47,16 @@ def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig)
     if not kept:
         # Only the catch-all cleared selection; promote the best real subject.
         kept = [_best([i for i in range(len(SUBJECTS)) if i != _OTHER_INDEX], probs)]
-    kept = sorted(kept)
+    return sorted(kept)
 
+
+def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig) -> SDag:
+    """Apply node/edge thresholds, the node cap, and acyclicity repair.
+
+    Only the rows of `edge_probs` for the kept subjects are read.
+    """
+    probs = np.asarray(node_probs, dtype=np.float64)
+    kept = kept_nodes(probs, config)
     nodes = [SDagNode(subject=SUBJECTS[i], score=float(probs[i])) for i in kept]
     edges = []
     for i in kept:
@@ -67,9 +75,15 @@ def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig)
 
 
 def generate_sdag(question, params, embedder, config: GenerationConfig = GenerationConfig()) -> SDag:
-    """Embed a question, run the router, and assemble the subject DAG."""
+    """Embed a question, run the router, and assemble the subject DAG.
+
+    Edges are scored only from the subjects the DAG keeps, and not at all for
+    a single-node DAG.
+    """
     from .model import route
 
     h_q = embedder.embed(question)
     output = route(params, h_q)
-    return assemble_dag(output.node_probs, output.edge_probs, config)
+    kept = kept_nodes(output.node_probs, config)
+    edge_probs = output.edge_rows(kept if len(kept) > 1 else [])
+    return assemble_dag(output.node_probs, edge_probs, config)

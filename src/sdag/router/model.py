@@ -4,10 +4,16 @@ Every subject node starts from a learned subject embedding fused with the
 question embedding, is refined by layers that each combine its state with the
 mean of the other 14 states, and feeds two classifier heads: one scoring
 subject relevance, one scoring each ordered subject pair as a dependency edge.
+
+The edge head scores one source subject's row of 15 targets at a time, so a
+row's scores do not depend on which other rows are scored. Training scores
+all 15 rows; `route()` scores edges on demand, so a DAG that keeps k subjects
+pays for k rows, not the full grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +27,8 @@ Array = np.ndarray
 PAIR_SRC = np.array([i for i in range(NUM_SUBJECTS) for j in range(NUM_SUBJECTS) if i != j])
 PAIR_DST = np.array([j for i in range(NUM_SUBJECTS) for j in range(NUM_SUBJECTS) if i != j])
 NUM_PAIRS = len(PAIR_SRC)
+# Every subject as an edge source: the full 15 x 15 edge grid.
+ALL_ROWS = np.arange(NUM_SUBJECTS)
 
 
 @dataclass(frozen=True)
@@ -122,14 +130,26 @@ def init_params(
 class RouterOutput:
     """Per-subject relevance probabilities and pairwise edge probabilities.
 
-    The edge matrix diagonal is never produced by the network and must not be
-    consumed; it is stored as 0.
+    Entry [i, j] of the 15 x 15 edge grids scores the edge i -> j. The
+    diagonal is never produced by the network and must not be consumed; it
+    is stored as 0. An output built from arrays holds them as given. The
+    output of `route()` scores edges per source row on demand: its full grids
+    on first read, or only chosen rows through `edge_rows`.
     """
 
     node_probs: Array
     edge_probs: Array
     node_logits: Array = field(repr=False, default=None)  # type: ignore[assignment]
     edge_logits: Array = field(repr=False, default=None)  # type: ignore[assignment]
+
+    def edge_rows(self, rows: list[int]) -> Array:
+        """A 15 x 15 edge probability grid whose rows `rows` are scored.
+
+        Only those rows may be read. The output of `route()` scores just them
+        (none for an empty list), with the same bits as in its full grid, and
+        leaves the other rows 0.
+        """
+        return self.edge_probs
 
 
 def _sigmoid(x: Array) -> Array:
@@ -176,38 +196,67 @@ def _layer_stage(params: RouterParams, layer: int, x: Array) -> tuple[Array, Arr
     return mean, _activate(params.dims, pre)
 
 
-def _heads_stage(params: RouterParams, x: Array, h_q: Array) -> tuple[Array, Array, Array, Array]:
-    """Node and edge heads: (node hidden, node logits, edge hidden, edge logits).
+def _node_stage(params: RouterParams, x: Array) -> tuple[Array, Array]:
+    """Node head: (hidden, logits), one row per subject."""
+    t = params.tensors
+    hidden = np.maximum(x @ t["node_head.w1"] + t["node_head.b1"], 0.0)
+    return hidden, hidden @ t["node_head.w2"][:, 0] + t["node_head.b2"][0]
 
-    Edge arrays cover the full 15 x 15 grid, entry [i, j] scoring the edge
-    i -> j; the diagonal is computed but never read.
+
+def _edge_stage(params: RouterParams, x: Array, h_q: Array, rows: Array) -> tuple[Array, Array]:
+    """Edge head for the source subjects `rows` against all 15 targets.
+
+    Returns (hidden, logits) of shapes (len(rows), 15, h) and (len(rows), 15);
+    entry [k, j] scores the edge rows[k] -> j, self-edges included. Each row
+    is reduced on its own (15, h) block, so its logits are the same bits
+    whichever other rows are scored with it.
     """
     t = params.tensors
     h = params.dims.h
-    node_hidden = np.maximum(x @ t["node_head.w1"] + t["node_head.b1"], 0.0)
-    node_logits = node_hidden @ t["node_head.w2"][:, 0] + t["node_head.b2"][0]
-
     # concat(x[i], x[j], h_q) @ w1, split into its source, target and question
-    # blocks, summed and rectified in one 15 x 15 x h buffer.
+    # blocks, summed and rectified in one buffer.
     w1 = t["edge_head.w1"]
-    edge_hidden = np.add((x @ w1[:h])[:, None, :], x @ w1[h : 2 * h])
-    edge_hidden += h_q @ w1[2 * h :] + t["edge_head.b1"]
-    np.maximum(edge_hidden, 0.0, out=edge_hidden)
-    edge_logits = edge_hidden @ t["edge_head.w2"][:, 0] + t["edge_head.b2"][0]
-    return node_hidden, node_logits, edge_hidden, edge_logits
+    hidden = np.add((x @ w1[:h])[rows, None, :], x @ w1[h : 2 * h])
+    hidden += h_q @ w1[2 * h :] + t["edge_head.b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden, hidden @ t["edge_head.w2"][:, 0] + t["edge_head.b2"][0]
 
 
-def _output(node_logits: Array, edge_logits: Array) -> RouterOutput:
-    edge_logits = edge_logits.copy()
-    np.fill_diagonal(edge_logits, 0.0)
-    edge_probs = _sigmoid(edge_logits)
-    np.fill_diagonal(edge_probs, 0.0)
-    return RouterOutput(
-        node_probs=_sigmoid(node_logits),
-        edge_probs=edge_probs,
-        node_logits=node_logits.copy(),
-        edge_logits=edge_logits,
-    )
+def _edge_output(logits: Array, rows: Array) -> tuple[Array, Array]:
+    """Zero the self-edge entries of edge logits for source rows `rows`, in
+    place, and return (logits, probabilities), with 0 on the self-edges too."""
+    self_edges = (np.arange(len(rows)), rows)
+    logits[self_edges] = 0.0
+    probs = _sigmoid(logits)
+    probs[self_edges] = 0.0
+    return logits, probs
+
+
+class _RoutedOutput(RouterOutput):
+    """A router output that scores edges per source row on demand.
+
+    The full grids are scored on first read of `edge_probs` or
+    `edge_logits`, bit for bit as `ForwardTape` scores them.
+    """
+
+    def __init__(self, params: RouterParams, x: Array, h_q: Array):
+        self._edge_inputs = (params, x, h_q)
+        self.node_logits = _node_stage(params, x)[1]
+        self.node_probs = _sigmoid(self.node_logits)
+
+    @functools.cached_property
+    def _edges(self) -> tuple[Array, Array]:
+        return _edge_output(_edge_stage(*self._edge_inputs, ALL_ROWS)[1], ALL_ROWS)
+
+    edge_logits = property(lambda self: self._edges[0])
+    edge_probs = property(lambda self: self._edges[1])
+
+    def edge_rows(self, rows: list[int]) -> Array:
+        grid = np.zeros((NUM_SUBJECTS, NUM_SUBJECTS))
+        if rows:
+            rows = np.asarray(rows)
+            grid[rows] = _edge_output(_edge_stage(*self._edge_inputs, rows)[1], rows)[1]
+        return grid
 
 
 class ForwardTape:
@@ -224,12 +273,21 @@ class ForwardTape:
             self.means.append(mean)
             self.xs.append(x)
         self.x0, self.x_final = self.xs[0], self.xs[-1]
-        self.node_hidden, self.node_logits, self.edge_hidden, self.edge_logits = _heads_stage(
-            params, self.x_final, self.h_q
+        self.node_hidden, self.node_logits = _node_stage(params, self.x_final)
+        # The full 15 x 15 grid; its diagonal is computed but never read.
+        self.edge_hidden, self.edge_logits = _edge_stage(
+            params, self.x_final, self.h_q, ALL_ROWS
         )
 
     def output(self) -> RouterOutput:
-        return _output(self.node_logits, self.edge_logits)
+        # The tape keeps its own logits, so the output gets copies.
+        edge_logits, edge_probs = _edge_output(self.edge_logits.copy(), ALL_ROWS)
+        return RouterOutput(
+            node_probs=_sigmoid(self.node_logits),
+            edge_probs=edge_probs,
+            node_logits=self.node_logits.copy(),
+            edge_logits=edge_logits,
+        )
 
 
 def backward(
@@ -309,11 +367,14 @@ def message_pass(params: RouterParams, x0: Array) -> Array:
 def predict(params: RouterParams, x_final: Array, h_q: Array) -> RouterOutput:
     """Run only the node/edge heads on final node states."""
     x = _checked(x_final, (NUM_SUBJECTS, params.dims.h), "node states")
-    h_q = _checked(h_q, (params.dims.d_q,), "question embedding")
-    _, node_logits, _, edge_logits = _heads_stage(params, x, h_q)
-    return _output(node_logits, edge_logits)
+    return _RoutedOutput(params, x, _checked(h_q, (params.dims.d_q,), "question embedding"))
 
 
 def route(params: RouterParams, h_q: Array) -> RouterOutput:
-    """Full forward pass: fuse, message-pass, and score nodes and edges."""
-    return ForwardTape(params, h_q).output()
+    """Full forward pass: fuse, message-pass and score the nodes; edges are
+    scored per source row on demand (see `RouterOutput.edge_rows`)."""
+    h_q = _checked(h_q, (params.dims.d_q,), "question embedding")
+    x = _init_stage(params, h_q)
+    for layer in range(params.dims.L):
+        x = _layer_stage(params, layer, x)[1]
+    return _RoutedOutput(params, x, h_q)

@@ -64,3 +64,53 @@ def test_directions_cover_every_benchmark_metric():
     assert directions["qps.no_gnn"] == "higher"
     assert directions["peak_rss_mb"] == "lower"
     assert set(directions.values()) == {"higher", "lower"}
+
+
+def qps_pairs(parent, change):
+    return [run(i, side, qps=v) for i, (p, c) in enumerate(zip(parent, change), 1)
+            for side, v in (("parent", p), ("change", c))]
+
+
+def qps_verdict(parent, change, better="higher", bound=0.25):
+    summary = bench_pairs.summarize(qps_pairs(parent, change), {"qps": better}, {"qps": bound})
+    return summary["metrics"]["qps"]["verdict"]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+
+
+def test_verdict_gain_needs_nine_of_ten_wins_and_a_median_beyond_the_iqr():
+    assert qps_verdict(PARENT, [p + 5.0 for p in PARENT]) == "gain"
+    # Lower is better: the same runs read the other way round are no gain.
+    assert qps_verdict(PARENT, [p + 5.0 for p in PARENT], better="lower") == "no change"
+    # 8 of 10 wins is not enough, however large the median move.
+    eight = [p + 5.0 for p in PARENT[:8]] + [p - 1.0 for p in PARENT[8:]]
+    assert qps_verdict(PARENT, eight) == "no change"
+    # Winning every pair by less than the parent IQR (1.0) is no gain either.
+    assert qps_verdict(PARENT, [p + 0.5 for p in PARENT]) == "no change"
+
+
+def test_verdict_regression_is_a_median_worse_than_the_bound():
+    assert qps_verdict(PARENT, [p * 0.7 for p in PARENT]) == "regression"
+    assert qps_verdict(PARENT, [p * 0.8 for p in PARENT]) == "no change"
+    assert qps_verdict(PARENT, [p * 1.3 for p in PARENT], better="lower") == "regression"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    wide = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 60.0, 140.0, 70.0, 130.0]
+    assert qps_verdict(wide, [100.0] * 10) == "unresolved"
+    # Unless every change run beats every parent run; a gain must still
+    # move the median by more than the parent IQR (60).
+    assert qps_verdict(wide, [141.0 + i for i in range(10)]) == "no change"
+    assert qps_verdict(wide, [161.0 + i for i in range(10)]) == "gain"
+    assert qps_verdict(wide, [141.0] * 9 + [139.0]) == "unresolved"
+    assert qps_verdict(wide, [100.0] * 10, bound=0.75) == "no change"
+
+
+def test_verdicts_only_for_metrics_with_a_bound():
+    summary = bench_pairs.summarize(qps_pairs(PARENT, PARENT), {"qps": "higher"})
+    assert "verdict" not in summary["metrics"]["qps"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = bench_pairs.metric_bounds(benchmark)
+    assert bounds["qps.sdag"] == 0.25
+    assert "router.model.route_us" not in bounds

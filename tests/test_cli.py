@@ -322,6 +322,37 @@ def test_bad_flag_exits_one(workspace):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["eval", "--mode", "sdag", "--seeds", "0"],
+        ["eval", "--mode", "sdag", "--parallelism", "0"],
+        ["eval", "--mode", "sdag", "--edge-threshold", "1"],
+        ["train", "--epochs", "0"],
+        ["train", "--lr", "-1e-3"],
+        ["train", "--layers", "nan"],
+        ["run", "--question", "q", "--node-threshold", "1.5"],
+        ["run", "--question", "q", "--edge-threshold", "-0.1"],
+        ["curate", "--in", "missing.jsonl", "--train-ratio", "1"],
+    ],
+)
+def test_out_of_range_flag_is_usage_error_before_reading_files(tmp_path, capsys, flags):
+    # Every path names a missing file: reading one would exit 2 instead.
+    missing = [str(tmp_path / name) for name in ("a", "b", "c", "d", "e")]
+    paths = {
+        "eval": ["--data", missing[0], "--pool", missing[1], "--backends", missing[2],
+                 "--checkpoint", missing[3], "--profiles", missing[4]],
+        "train": ["--data", missing[0], "--out", missing[1]],
+        "run": ["--checkpoint", missing[0], "--profiles", missing[1], "--pool", missing[2],
+                "--backends", missing[3]],
+        "curate": ["--out", missing[0], "--backends", missing[1]],
+    }[flags[0]]
+    assert main(flags + paths) == 1
+    err = capsys.readouterr().err
+    assert "expected" in err and "Traceback" not in err
+    assert not any(Path(p).exists() for p in missing)
+
+
 def test_missing_command_exits_one():
     code, _ = run_cli([])
     assert code == 1

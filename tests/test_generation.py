@@ -1,5 +1,7 @@
 """DAG assembly from router probabilities: thresholds, cap, repair."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,36 @@ def test_generate_sdag_uses_embedder(monkeypatch):
     monkeypatch.setattr(emb, "embed", spy)
     generate_sdag("math and physics", params, emb)
     assert calls == ["math and physics"]
+
+
+BENCH_DIMS = RouterDims(d_s=32, d_q=256, h=64, L=2)
+WORDS = [s.value.lower() for s in SUBJECTS] + ["tube", "contract", "cell", "proof"]
+
+
+@functools.lru_cache(maxsize=None)
+def bench_router(seed: int):
+    return init_params(BENCH_DIMS, seed=seed)
+
+
+# Untrained routers score nodes and edges near 0.5, so thresholds there split
+# them; 0.99 leaves a single fallback node.
+NEAR_HALF = st.floats(0.47, 0.53) | st.sampled_from([0.0, 0.5, 0.99])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(WORDS), max_size=12),
+    seed=st.integers(0, 7),
+    node_threshold=NEAR_HALF,
+    edge_threshold=NEAR_HALF,
+)
+def test_generate_sdag_matches_assembly_over_full_grid(words, seed, node_threshold, edge_threshold):
+    # generate_sdag scores edge rows only for the kept subjects; the DAG must
+    # be the one assembled from the full grid, scores included, bit for bit.
+    question = " ".join(words)
+    params = bench_router(seed)
+    emb = HashedEmbedder(d=BENCH_DIMS.d_q)
+    config = GenerationConfig(node_threshold=node_threshold, edge_threshold=edge_threshold)
+    full = route(params, emb.embed(question))
+    expected = assemble_dag(full.node_probs, full.edge_probs, config)
+    assert generate_sdag(question, params, emb, config) == expected

@@ -10,6 +10,7 @@ from sdag.router.model import (
     PAIR_SRC,
     ForwardTape,
     RouterDims,
+    RouterOutput,
     RouterParams,
     init_node_features,
     init_params,
@@ -200,3 +201,26 @@ def test_forward_tape_matches_wrappers():
     full = tape.output()
     assert np.array_equal(full.node_probs, via_predict.node_probs)
     assert np.array_equal(full.edge_probs, via_predict.edge_probs)
+
+
+def test_route_edge_rows_are_the_full_grid_rows_bit_for_bit():
+    dims = RouterDims(d_s=32, d_q=256, h=64, L=2)
+    rng = np.random.default_rng(5)
+    for seed in range(4):
+        params = init_params(dims, seed=seed)
+        h_q = rng.standard_normal(256)
+        full = route(params, h_q).edge_probs
+        for size in range(1, 16):
+            rows = sorted(rng.choice(15, size=size, replace=False).tolist())
+            grid = route(params, h_q).edge_rows(rows)
+            assert grid[rows].tobytes() == full[rows].tobytes(), (seed, rows)
+            others = [i for i in range(15) if i not in rows]
+            assert not grid[others].any()
+        # No rows asked, none scored.
+        assert not route(params, h_q).edge_rows([]).any()
+
+
+def test_edge_rows_of_an_output_built_from_arrays_is_its_grid():
+    edge_probs = np.full((15, 15), 0.25)
+    out = RouterOutput(node_probs=np.full(15, 0.5), edge_probs=edge_probs)
+    assert out.edge_rows([3]) is edge_probs

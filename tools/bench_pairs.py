@@ -32,13 +32,23 @@ WHAT = (
     "traced runs. Per metric they give each side's quartiles (inclusive method), the "
     "median change, the parent's interquartile range and how many pairs the change "
     "won; ties count for neither side. Which direction is better comes from "
-    "BENCHMARK.json."
+    "BENCHMARK.json. Each metric with a bound there (the end-to-end ones) gets a verdict: "
+    "`gain` when the change wins at least 9 of 10 pairs and the medians differ by more "
+    "than the parent IQR; `regression` when the change's median is worse than the "
+    "parent's by more than bound x the parent median; `unresolved` when the parent IQR "
+    "exceeds bound x the parent median, unless every change run beats every parent run; "
+    "otherwise `no change`."
 )
 
 
 def metric_directions(benchmark: dict) -> dict[str, str]:
     """Metric name -> "higher" or "lower", from a BENCHMARK.json object."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def metric_bounds(benchmark: dict) -> dict[str, float]:
+    """Metric name -> the share by which it may worsen, for the metrics that have one."""
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"] if "bound" in m}
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -65,8 +75,28 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Summary of one workload's runs, paired by their `pair` number."""
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """The verdict on one metric's (parent, change) pairs; see WHAT."""
+    sign = 1 if better == "higher" else -1
+    parent_q = _quartiles([p for p, _ in pairs])
+    change_q = _quartiles([c for _, c in pairs])
+    iqr = parent_q[2] - parent_q[0]
+    gained = sign * (change_q[1] - parent_q[1])
+    wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    if 10 * wins >= 9 * len(pairs) and gained > iqr:
+        return "gain"
+    if -gained > bound * abs(parent_q[1]):
+        return "regression"
+    beats_all = min(sign * c for _, c in pairs) > max(sign * p for p, _ in pairs)
+    if iqr > bound * abs(parent_q[1]) and not beats_all:
+        return "unresolved"
+    return "no change"
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Summary of one workload's runs, paired by their `pair` number; metrics
+    with a bound in `bounds` get a verdict."""
     by_pair: dict[int, dict[str, dict | None]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -101,6 +131,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "parent_iqr": round(parent_q[2] - parent_q[0], 4),
             "change_wins": f"{wins}/{len(pairs)}",
         }
+        if bounds and name in bounds:
+            summary["metrics"][name]["verdict"] = verdict(pairs, better[name], bounds[name])
     return summary
 
 
@@ -141,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     for side in SIDES:
         revs = {r["env"]["git_rev"] for r in record["runs"] if r["side"] == side and r["env"]}
         record[side] = ", ".join(sorted(revs))
-    record.setdefault("summary", {})[key] = summarize(earlier + runs, better)
+    record.setdefault("summary", {})[key] = summarize(earlier + runs, better,
+                                                       metric_bounds(benchmark))
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 

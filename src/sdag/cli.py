@@ -1,8 +1,9 @@
 """Command line surface: curate, train, profile, run, eval.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, missing inputs for
-the chosen mode), 2 on runtime failures (transport, corrupt files, failed
-invariants).
+Exit codes: 0 on success, 1 on usage errors (bad or out-of-range flags,
+missing inputs for the chosen mode), 2 on runtime failures (transport,
+corrupt files, failed invariants). Flag ranges are checked while parsing,
+before any file is read.
 """
 
 from __future__ import annotations

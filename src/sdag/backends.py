@@ -11,18 +11,18 @@ simulated from a hash of the request so traces do not depend on scheduling.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import queue
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AuthError, NoRuleMatched, Timeout, TransportError
+from .fileio import BACKEND_FIELDS, RULE_FIELDS, check_fields, read_entry_list, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -153,23 +153,21 @@ def parse_rules(raw: list) -> list[MockRule]:
     """Check and compile a mock script; raises ValueError naming the bad rule."""
     rules = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or not isinstance(entry.get("reply"), str):
-            raise ValueError(f"mock rule {i} must be an object with a string reply")
-        reply = entry["reply"]
-        match = entry.get("match", "default")
-        if match == "default" or entry.get("default"):
+        check_fields(f"mock rule {i}", entry, RULE_FIELDS)
+        reply, match = entry["reply"], entry.get("match", "default")
+        if match == "default":
             rules.append(MockRule(reply=reply, default=True))
-        elif isinstance(match, dict) and "substring" in match:
+        elif "substring" in match:
             if not isinstance(match["substring"], str):
                 raise ValueError(f"mock rule {i}: substring must be a string")
             rules.append(MockRule(reply=reply, substring=match["substring"]))
-        elif isinstance(match, dict) and "regex" in match:
+        elif "regex" in match:
             try:
                 regex = re.compile(match["regex"])
             except (re.error, TypeError) as exc:
                 raise ValueError(f"mock rule {i}: bad regex {match['regex']!r}: {exc}") from None
             rules.append(MockRule(reply=reply, regex=regex))
-        elif isinstance(match, dict) and "metadata" in match:
+        elif "metadata" in match:
             spec = match["metadata"]
             if (
                 not isinstance(spec, dict)
@@ -452,95 +450,28 @@ def build_backend(config: BackendConfig, session: requests.Session | None = None
     return RemoteBackend(config, session=session)
 
 
-def read_entries(path: Path, key: str, required: tuple[str, ...]) -> list[dict]:
-    """The entry objects of a JSON file holding a list, or {key: [...]}.
-
-    Raises ValueError naming the file, and the entry index where there is
-    one, for any other top level, a non-object entry or a missing field.
-    """
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(raw, dict):
-        if key not in raw:
-            raise ValueError(f"{path}: top-level object has no {key!r} list")
-        raw = raw[key]
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a list of entries")
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: entry {i} is not an object")
-        missing = [name for name in required if name not in entry]
-        if missing:
-            raise ValueError(f"{path}: entry {i} lacks {', '.join(missing)}")
-    return raw
-
-
-def check_field_types(where: str, entry: dict, types: dict) -> None:
-    """Raise ValueError prefixed by `where` for the first field of `entry`
-    that `types` (field -> (accepts, description)) does not accept."""
-    for name, (accepts, expected) in types.items():
-        if name in entry and not accepts(entry[name]):
-            raise ValueError(f"{where}: {name} must be {expected}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_optional_str(value) -> bool:
-    return value is None or isinstance(value, str)
-
-
-_CONFIG_KEYS = frozenset(f.name for f in fields(BackendConfig)) | {"script_path"}
-_CONFIG_TYPES = {
-    "name": (lambda v: isinstance(v, str), "a string"),
-    **{
-        name: (_is_int, "an integer")
-        for name in ("max_in_flight", "timeout_ms", "retries", "seed")
-    },
-    "backoff_s": (_is_number, "a number"),
-    "latency_ms": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-        "a list of two numbers",
-    ),
-    "script": (lambda v: isinstance(v, list), "a list"),
-    **{
-        name: (_is_optional_str, "a string or null")
-        for name in ("url", "model", "key_env", "script_path")
-    },
-}
-
-
-def _config_from_dict(entry: dict, base_dir: Path, where: str) -> BackendConfig:
-    entry = dict(entry)
-    check_field_types(where, entry, _CONFIG_TYPES)
-    script_path = entry.pop("script_path", None)
-    if script_path is not None:
-        path = Path(script_path)
-        if not path.is_absolute():
-            path = base_dir / path
-        entry["script"] = json.loads(path.read_text(encoding="utf-8"))
-        check_field_types(f"{where}: {path}", entry, _CONFIG_TYPES)
-    if "latency_ms" in entry:
-        entry["latency_ms"] = tuple(entry["latency_ms"])
-    return BackendConfig(**entry)
-
-
 def load_backend_configs(path: str | Path) -> list[BackendConfig]:
-    """Read a backend config file: a list, or {"backends": [...]}."""
+    """Read a backend config file: a list, or {"backends": [...]}.
+
+    A `script_path` is resolved relative to the file and replaced by the
+    script it holds.
+    """
     path = Path(path)
-    entries = read_entries(path, "backends", ("name", "kind"))
-    for i, entry in enumerate(entries):
-        unknown = sorted(set(entry) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"{path}: entry {i} has unknown field(s) {', '.join(unknown)}")
-    return [
-        _config_from_dict(e, base_dir=path.parent, where=f"{path}: entry {i}")
-        for i, e in enumerate(entries)
-    ]
+    configs = []
+    for i, entry in enumerate(read_entry_list(path, "backends", BACKEND_FIELDS, unique="name")):
+        where = f"{path}: entry {i}"
+        script_path = entry.pop("script_path", None)
+        if script_path is not None:
+            script_path = path.parent / script_path  # an absolute path replaces the parent
+            entry["script"] = read_json(script_path, ValueError)
+            check_fields(f"{where}: {script_path}", entry, BACKEND_FIELDS)
+        if "latency_ms" in entry:
+            entry["latency_ms"] = tuple(entry["latency_ms"])
+        try:
+            configs.append(BackendConfig(**entry))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return configs
 
 
 def build_client(configs: list[BackendConfig], session: requests.Session | None = None) -> ChatClient:

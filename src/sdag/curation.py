@@ -26,9 +26,10 @@ from .errors import (
     TransportError,
     UnknownSubject,
 )
-from .fileio import atomic_writer
+from .fileio import RECORD_FIELDS, atomic_writer, check_fields, parse_json
 from .subjects import (
     MAX_DAG_NODES,
+    SUBJECTS,
     QuestionRecord,
     Subject,
     SubjectWeights,
@@ -281,11 +282,6 @@ def weights_to_names(weights: SubjectWeights) -> dict[str, float]:
     return {s.value: float(w) for s, w in weights.items()}
 
 
-def weights_from_names(raw: dict[str, float]) -> SubjectWeights:
-    parsed = {parse_subject(name): float(w) for name, w in raw.items()}
-    return {s: parsed[s] for s in sorted(parsed, key=lambda s: s.index)}
-
-
 def record_to_dict(record: QuestionRecord) -> dict:
     return {
         "id": record.id,
@@ -297,18 +293,6 @@ def record_to_dict(record: QuestionRecord) -> dict:
     }
 
 
-def record_from_dict(raw: dict) -> QuestionRecord:
-    subjects = raw.get("subjects")
-    return QuestionRecord(
-        id=raw["id"],
-        question=raw["question"],
-        options=list(raw["options"]),
-        gold=raw["gold"],
-        subjects=weights_from_names(subjects) if subjects else None,
-        split=raw.get("split"),
-    )
-
-
 def write_records(records: list[QuestionRecord], path: str | Path) -> None:
     lines = [
         json.dumps(record_to_dict(r), sort_keys=True, ensure_ascii=False) for r in records
@@ -318,12 +302,22 @@ def write_records(records: list[QuestionRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[QuestionRecord]:
+    """Read a question dataset: one checked JSON object per non-blank line."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
+        raw = parse_json(line, where, SdagError)
+        check_fields(where, raw, RECORD_FIELDS, SdagError)
         try:
-            records.append(record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise SdagError(f"{path}:{lineno}: bad record ({exc})") from exc
+            weights = {parse_subject(n): float(w) for n, w in (raw.get("subjects") or {}).items()}
+            check_weights(weights)
+            records.append(QuestionRecord(
+                id=raw["id"], question=raw["question"], options=raw["options"], gold=raw["gold"],
+                subjects={s: weights[s] for s in SUBJECTS if s in weights} or None,
+                split=raw.get("split"),
+            ))
+        except (ValueError, SdagError) as exc:
+            raise SdagError(f"{where}: {exc}") from exc
     return records

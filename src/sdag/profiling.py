@@ -15,16 +15,17 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import ChatClient, ChatRequest, check_field_types, read_entries
-from .errors import (
-    CorruptProfileStore,
-    EmptyPool,
-    EmptySplit,
-    TransportError,
-    UnknownSubject,
-    VersionMismatch,
+from .backends import ChatClient, ChatRequest
+from .errors import CorruptProfileStore, EmptyPool, EmptySplit, TransportError, UnknownSubject
+from .fileio import (
+    POOL_FIELDS,
+    PROFILE_FIELDS,
+    STORE_FIELDS,
+    atomic_writer,
+    check_fields,
+    read_entry_list,
+    read_versioned,
 )
-from .fileio import atomic_writer
 from .subjects import (
     NUM_SUBJECTS,
     SUBJECTS,
@@ -56,37 +57,18 @@ class ModelPoolEntry:
             raise ValueError(f"model {self.model_id!r}: backend ref is required")
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-_POOL_TYPES = {
-    "model_id": (_is_str, "a string"),
-    "backend": (_is_str, "a string"),
-    "declared_subjects": (
-        lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"
-    ),
-}
-
-
 def load_pool(path: str | Path) -> list[ModelPoolEntry]:
     """Read a pool file: a list, or {"models": [...]}."""
-    entries = read_entries(Path(path), "models", ("model_id", "backend"))
-    for i, e in enumerate(entries):
-        check_field_types(f"{path}: entry {i}", e, _POOL_TYPES)
-    pool = [
-        ModelPoolEntry(
-            model_id=e["model_id"],
-            backend=e["backend"],
-            declared_subjects=tuple(parse_subject(s) for s in e.get("declared_subjects", [])),
-        )
-        for e in entries
-    ]
-    if not pool:
+    entries = read_entry_list(Path(path), "models", POOL_FIELDS, unique="model_id")
+    if not entries:
         raise EmptyPool(f"{path}: pool is empty")
-    ids = [e.model_id for e in pool]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate model_id in pool")
+    pool = []
+    for i, e in enumerate(entries):
+        try:
+            subjects = tuple(parse_subject(s) for s in e.get("declared_subjects", []))
+            pool.append(ModelPoolEntry(e["model_id"], e["backend"], subjects))
+        except (ValueError, UnknownSubject) as exc:
+            raise ValueError(f"{path}: entry {i}: {exc}") from None
     return pool
 
 
@@ -276,37 +258,24 @@ def save_profiles(store: ProfileStore, path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> ProfileStore:
-    data = Path(path).read_bytes()
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptProfileStore(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CorruptProfileStore(f"{path}: top level is not an object")
-    version = payload.get("version")
-    if not isinstance(version, int):
-        raise CorruptProfileStore(f"{path}: missing or malformed version field")
-    if version != PROFILE_STORE_VERSION:
-        raise VersionMismatch(f"{path}: store version {version}, supported {PROFILE_STORE_VERSION}")
-    try:
-        profiles = {}
-        for model_id, entry in payload["profiles"].items():
+    payload = read_versioned(path, CorruptProfileStore, PROFILE_STORE_VERSION, STORE_FIELDS)
+    profiles = {}
+    for model_id, entry in payload["profiles"].items():
+        where = f"{path}: model {model_id!r}"
+        check_fields(where, entry, PROFILE_FIELDS, CorruptProfileStore)
+        try:
             raw = {parse_subject(name): float(v) for name, v in entry["raw"].items()}
             normalized = {
                 parse_subject(name): float(v) for name, v in entry["normalized"].items()
             }
-            if set(normalized) != set(SUBJECTS):
-                raise CorruptProfileStore(
-                    f"{path}: model {model_id!r} normalized scores do not cover the taxonomy"
-                )
-            profiles[model_id] = ModelProfile(
-                model_id=model_id,
-                raw=raw,
-                normalized={s: normalized[s] for s in SUBJECTS},
-                uniform_fallback=bool(entry["uniform_fallback"]),
-            )
-    except CorruptProfileStore:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, UnknownSubject) as exc:
-        raise CorruptProfileStore(f"{path}: malformed profile entry ({exc})") from exc
+        except UnknownSubject as exc:
+            raise CorruptProfileStore(f"{where}: {exc}") from exc
+        if set(normalized) != set(SUBJECTS):
+            raise CorruptProfileStore(f"{where}: normalized scores do not cover the taxonomy")
+        profiles[model_id] = ModelProfile(
+            model_id=model_id,
+            raw=raw,
+            normalized={s: normalized[s] for s in SUBJECTS},
+            uniform_fallback=entry["uniform_fallback"],
+        )
     return ProfileStore(profiles=profiles, provenance=payload.get("provenance", {}))

@@ -3,16 +3,7 @@
 from .checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from .generation import GenerationConfig, assemble_dag, generate_sdag
 from .loss import PROB_EPS, LossConfig, edge_mask, loss_and_gradients, masked_bce_loss
-from .model import (
-    RouterDims,
-    RouterOutput,
-    RouterParams,
-    init_node_features,
-    init_params,
-    message_pass,
-    predict,
-    route,
-)
+from .model import RouterDims, RouterOutput, RouterParams, init_params, route
 from .training import TrainConfig, TrainResult, TrainSample, train, train_router
 
 __all__ = [
@@ -30,10 +21,7 @@ __all__ = [
     "RouterDims",
     "RouterOutput",
     "RouterParams",
-    "init_node_features",
     "init_params",
-    "message_pass",
-    "predict",
     "route",
     "TrainConfig",
     "TrainResult",

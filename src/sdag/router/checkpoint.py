@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, VersionMismatch
-from ..fileio import atomic_writer
+from ..errors import CorruptCheckpoint
+from ..fileio import CHECKPOINT_FIELDS, DIMS_FIELDS, atomic_writer, check_fields, read_versioned
 from .model import RouterDims, RouterParams, tensor_shapes
 
 CHECKPOINT_VERSION = 2
@@ -51,30 +51,14 @@ def save_checkpoint(params: RouterParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> RouterParams:
-    data = Path(path).read_bytes()
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpoint(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CorruptCheckpoint(f"{path}: top level is not an object")
-
-    version = payload.get("version")
-    if not isinstance(version, int):
-        raise CorruptCheckpoint(f"{path}: missing or malformed version field")
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
-            f"{path}: checkpoint version {version}, supported {CHECKPOINT_VERSION}"
-        )
-
+    payload = read_versioned(path, CorruptCheckpoint, CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
+    check_fields(f"{path}: dims", payload["dims"], DIMS_FIELDS, CorruptCheckpoint)
     try:
         dims = RouterDims(**payload["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CorruptCheckpoint(f"{path}: bad dims record ({exc})") from exc
 
-    raw_tensors = payload.get("tensors")
-    if not isinstance(raw_tensors, dict):
-        raise CorruptCheckpoint(f"{path}: missing tensors")
+    raw_tensors = payload["tensors"]
     expected = tensor_shapes(dims)
     if set(raw_tensors) != set(expected):
         raise CorruptCheckpoint(f"{path}: tensor names do not match the dims record")
@@ -87,10 +71,6 @@ def load_checkpoint(path: str | Path) -> RouterParams:
         if not np.all(np.isfinite(arr)):
             raise CorruptCheckpoint(f"{path}: tensor {name} has non-finite values")
         tensors[name] = arr
-
-    seed = payload.get("seed")
-    embedder = payload.get("embedder")
-    try:
-        return RouterParams(dims=dims, tensors=tensors, seed=seed, embedder=embedder)
-    except Exception as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+    return RouterParams(
+        dims=dims, tensors=tensors, seed=payload.get("seed"), embedder=payload.get("embedder")
+    )

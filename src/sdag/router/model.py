@@ -174,7 +174,7 @@ def _checked(x: Array, shape: tuple[int, ...], what: str) -> Array:
     return x
 
 
-# -- forward stages, shared by ForwardTape and the public wrappers -----------
+# -- forward stages, shared by ForwardTape and route() -----------------------
 
 
 def _init_stage(params: RouterParams, h_q: Array) -> Array:
@@ -349,25 +349,6 @@ def backward(
     np.matmul(t["subject_embeddings"].T, d_pre, out=g_w[:d_s])
     np.multiply.outer(tape.h_q, d_bias, out=g_w[d_s:])
     return {name: g[name] for name in t}
-
-
-def init_node_features(params: RouterParams, h_q: Array) -> Array:
-    """Fused subject+question features before message passing (15 x h)."""
-    return _init_stage(params, _checked(h_q, (params.dims.d_q,), "question embedding"))
-
-
-def message_pass(params: RouterParams, x0: Array) -> Array:
-    """Apply the configured message-passing layers to given node features."""
-    x = _checked(x0, (NUM_SUBJECTS, params.dims.h), "node features")
-    for layer in range(params.dims.L):
-        x = _layer_stage(params, layer, x)[1]
-    return x
-
-
-def predict(params: RouterParams, x_final: Array, h_q: Array) -> RouterOutput:
-    """Run only the node/edge heads on final node states."""
-    x = _checked(x_final, (NUM_SUBJECTS, params.dims.h), "node states")
-    return _RoutedOutput(params, x, _checked(h_q, (params.dims.d_q,), "question embedding"))
 
 
 def route(params: RouterParams, h_q: Array) -> RouterOutput:

@@ -12,10 +12,7 @@ from sdag.router.model import (
     RouterDims,
     RouterOutput,
     RouterParams,
-    init_node_features,
     init_params,
-    message_pass,
-    predict,
     route,
     tensor_shapes,
 )
@@ -95,9 +92,19 @@ def test_params_shape_guards():
         RouterParams(dims=dims, tensors=bad)
 
 
+def fed_params(dims: RouterDims, x, **overrides) -> RouterParams:
+    """Parameters whose init stage hands `x` (15 x h) to the first layer
+    unchanged: linear activation, d_s = h, the subject block of `init.w` the
+    identity, subject embeddings `x`, question block and bias zero."""
+    assert dims.activation == "linear" and dims.d_s == dims.h
+    init_w = np.zeros((dims.d_s + dims.d_q, dims.h))
+    init_w[: dims.d_s] = np.eye(dims.h)
+    return zero_params(dims, subject_embeddings=x, **{"init.w": init_w}, **overrides)
+
+
 def test_init_features_zero_params_give_zero():
     dims = RouterDims(d_s=3, d_q=3, h=3, L=1)
-    x0 = init_node_features(zero_params(dims), np.ones(3))
+    x0 = ForwardTape(zero_params(dims), np.ones(3)).xs[0]
     assert np.array_equal(x0, np.zeros((15, 3)))
 
 
@@ -110,7 +117,7 @@ def test_init_features_one_dim_toy():
         subject_embeddings=np.full((15, 1), 0.2),
         **{"init.w": np.array([[1.0], [1.0]])},
     )
-    x0 = init_node_features(params, np.array([0.3]))
+    x0 = ForwardTape(params, np.array([0.3])).xs[0]
     assert np.allclose(x0, np.full((15, 1), 0.5))
 
 
@@ -121,44 +128,47 @@ def test_init_features_negative_preactivation_clamps():
         subject_embeddings=np.full((15, 1), -1.0),
         **{"init.w": np.array([[1.0], [1.0]])},
     )
-    x0 = init_node_features(params, np.array([0.0]))
+    x0 = ForwardTape(params, np.array([0.0])).xs[0]
     assert np.array_equal(x0, np.zeros((15, 1)))
 
 
+def test_fed_params_feed_the_chosen_states():
+    dims = RouterDims(d_s=2, d_q=2, h=2, L=1, activation="linear")
+    x = np.random.default_rng(2).standard_normal((15, 2))
+    assert np.array_equal(ForwardTape(fed_params(dims, x), np.ones(2)).xs[0], x)
+
+
 def test_message_pass_zero_weights_zero_output():
-    dims = RouterDims(d_s=2, d_q=2, h=2, L=2)
+    dims = RouterDims(d_s=2, d_q=2, h=2, L=2, activation="linear")
     rng = np.random.default_rng(0)
     x = rng.standard_normal((15, 2))
-    assert np.array_equal(message_pass(zero_params(dims), x), np.zeros((15, 2)))
+    tape = ForwardTape(fed_params(dims, x), np.zeros(2))
+    assert np.array_equal(tape.xs[1], np.zeros((15, 2)))
+    assert np.array_equal(tape.x_final, np.zeros((15, 2)))
 
 
 def test_message_pass_identity_configuration():
     dims = RouterDims(d_s=2, d_q=2, h=2, L=1, activation="linear")
-    params = zero_params(dims, **{"mp0.w_self": np.eye(2)})
     rng = np.random.default_rng(1)
     x = rng.standard_normal((15, 2))
-    assert np.allclose(message_pass(params, x), x)
+    params = fed_params(dims, x, **{"mp0.w_self": np.eye(2)})
+    assert np.allclose(ForwardTape(params, np.zeros(2)).xs[1], x)
 
 
 def test_message_pass_mean_of_identical_neighbors():
     dims = RouterDims(d_s=3, d_q=3, h=3, L=1, activation="linear")
-    params = zero_params(dims, **{"mp0.w_msg": np.eye(3)})
     v = np.array([1.0, -2.0, 3.0])
     x = np.tile(v, (15, 1))
-    out = message_pass(params, x)
+    params = fed_params(dims, x, **{"mp0.w_msg": np.eye(3)})
     # Mean over the other 14 identical rows is v itself.
-    assert np.allclose(out, x)
-
-
-def test_message_pass_shape_guard():
-    dims = RouterDims(d_s=2, d_q=2, h=2, L=1)
-    with pytest.raises(DimensionMismatch):
-        message_pass(zero_params(dims), np.zeros((14, 2)))
+    assert np.allclose(ForwardTape(params, np.zeros(3)).xs[1], x)
 
 
 def test_predict_zero_heads_give_half():
+    # Zero parameters route every question to zero node states, so the heads
+    # alone decide: every logit is 0.
     dims = RouterDims(d_s=2, d_q=2, h=2, L=1)
-    out = predict(zero_params(dims), np.zeros((15, 2)), np.zeros(2))
+    out = route(zero_params(dims), np.zeros(2))
     assert np.allclose(out.node_probs, 0.5)
     off_diag = ~np.eye(15, dtype=bool)
     assert np.allclose(out.edge_probs[off_diag], 0.5)
@@ -168,7 +178,7 @@ def test_predict_zero_heads_give_half():
 def test_predict_saturated_logit():
     dims = RouterDims(d_s=2, d_q=2, h=2, L=1)
     params = zero_params(dims, **{"node_head.b2": np.array([20.0])})
-    out = predict(params, np.zeros((15, 2)), np.zeros(2))
+    out = route(params, np.zeros(2))
     assert np.all(np.abs(out.node_probs - 1.0) < 1e-8)
     assert np.allclose(out.node_logits, 20.0)
 
@@ -190,17 +200,14 @@ def test_route_full_pass_properties():
 
 
 def test_forward_tape_matches_wrappers():
+    # route() and the tape run the same stages: equal outputs, bit for bit.
     dims = RouterDims(d_s=4, d_q=4, h=4, L=2)
     params = init_params(dims, seed=9)
     h_q = np.random.default_rng(9).standard_normal(4)
-    tape = ForwardTape(params, h_q)
-    x0 = init_node_features(params, h_q)
-    assert np.array_equal(tape.x0, x0)
-    assert np.array_equal(tape.x_final, message_pass(params, x0))
-    via_predict = predict(params, tape.x_final, h_q)
-    full = tape.output()
-    assert np.array_equal(full.node_probs, via_predict.node_probs)
-    assert np.array_equal(full.edge_probs, via_predict.edge_probs)
+    via_route = route(params, h_q)
+    full = ForwardTape(params, h_q).output()
+    for name in ("node_probs", "node_logits", "edge_probs", "edge_logits"):
+        assert np.array_equal(getattr(full, name), getattr(via_route, name)), name
 
 
 def test_route_edge_rows_are_the_full_grid_rows_bit_for_bit():

@@ -137,7 +137,7 @@ def _cmd_run(args) -> int:
     generation = GenerationConfig(
         node_threshold=args.node_threshold, edge_threshold=args.edge_threshold
     )
-    g = generate_sdag(args.question, params, embedder, generation)
+    g = generate_sdag(args.question, params, embedder, generation, edges=args.mode != "fcg")
     selection = selection_map(g.subjects(), store)
     if args.mode == "fcg":
         trace = execute_fcg(g.nodes, text, selection, pool_backends, client)
@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["sdag", "fcg"], default="sdag")
     p.add_argument("--trace", default="trace.jsonl", help="trace JSONL path")
     p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
-    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5,
+                   help="edge probability threshold for --mode sdag (fcg scores no edges)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="benchmark a mode over a dataset split")
@@ -281,7 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
-    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5,
+                   help="edge probability threshold for the routed DAGs of sdag and "
+                   "random_model (fcg scores no edges)")
     p.set_defaults(func=_cmd_eval)
     return parser
 

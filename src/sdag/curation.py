@@ -302,14 +302,19 @@ def write_records(records: list[QuestionRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[QuestionRecord]:
-    """Read a question dataset: one checked JSON object per non-blank line."""
+    """Read a question dataset: one checked JSON object per non-blank line,
+    each with an id no earlier line has."""
     records = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         raw = parse_json(line, where, SdagError)
         check_fields(where, raw, RECORD_FIELDS, SdagError)
+        first = first_line.setdefault(raw["id"], lineno)
+        if first != lineno:
+            raise SdagError(f"{where}: duplicate id {raw['id']!r} (first on line {first})")
         try:
             weights = {parse_subject(n): float(w) for n, w in (raw.get("subjects") or {}).items()}
             check_weights(weights)

@@ -173,7 +173,10 @@ def evaluate(
         # path never consults the router.
         if cfg.mode == "no_gnn" or not uses_router:
             return build_ground_truth_dag(record.subjects)
-        return generate_sdag(record.question, params, embedder, cfg.generation)
+        # Fully connected execution reads only the nodes, so fcg scores no edges.
+        return generate_sdag(
+            record.question, params, embedder, cfg.generation, edges=cfg.mode != "fcg"
+        )
 
     def run_question(seed: int, index: int, record: QuestionRecord) -> QuestionOutcome:
         started = time.monotonic()

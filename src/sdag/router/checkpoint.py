@@ -65,7 +65,12 @@ def load_checkpoint(path: str | Path) -> RouterParams:
     tensors = {}
     for name, shape in expected.items():
         try:
-            arr = np.asarray(raw_tensors[name], dtype=np.float64).reshape(shape)
+            # Read as found first: booleans, strings and other values must
+            # not pass as numbers by conversion.
+            arr = np.asarray(raw_tensors[name])
+            if arr.dtype.kind in "bUO":
+                raise CorruptCheckpoint(f"{path}: tensor {name} is not numeric ({arr.dtype})")
+            arr = arr.astype(np.float64, copy=False).reshape(shape)
         except (TypeError, ValueError) as exc:
             raise CorruptCheckpoint(f"{path}: tensor {name} is malformed ({exc})") from exc
         if not np.all(np.isfinite(arr)):

@@ -74,16 +74,21 @@ def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig)
     return dag
 
 
-def generate_sdag(question, params, embedder, config: GenerationConfig = GenerationConfig()) -> SDag:
+def generate_sdag(
+    question, params, embedder, config: GenerationConfig = GenerationConfig(),
+    *, edges: bool = True,
+) -> SDag:
     """Embed a question, run the router, and assemble the subject DAG.
 
     Edges are scored only from the subjects the DAG keeps, and not at all for
-    a single-node DAG.
+    a single-node DAG. With `edges=False` no edge is scored and the DAG keeps
+    its nodes only, for callers that never read edges (fully connected
+    execution); the nodes are the same as with edges.
     """
     from .model import route
 
     h_q = embedder.embed(question)
     output = route(params, h_q)
-    kept = kept_nodes(output.node_probs, config)
+    kept = kept_nodes(output.node_probs, config) if edges else []
     edge_probs = output.edge_rows(kept if len(kept) > 1 else [])
     return assemble_dag(output.node_probs, edge_probs, config)

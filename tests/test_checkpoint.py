@@ -106,6 +106,26 @@ def test_non_finite_tensor_is_corrupt(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "name, value, kind",
+    [
+        ("node_head.b2", True, "bool"),
+        ("init.b", ["1.5", "2", "3", "4"], "<U3"),
+    ],
+)
+def test_tensor_that_is_not_numbers_is_corrupt(tmp_path, name, value, kind):
+    # np.asarray(..., dtype=float64) would read these as [1.0] and as floats.
+    params = init_params(DIMS, seed=0)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    payload["tensors"][name] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptCheckpoint) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: tensor {name} is not numeric ({kind})"
+
+
 def test_bad_dims_is_corrupt(tmp_path):
     params = init_params(DIMS, seed=0)
     path = tmp_path / "ckpt.json"

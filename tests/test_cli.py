@@ -243,6 +243,32 @@ def test_run_fcg_mode(pipeline, tmp_path):
     assert out.strip() == "A"
 
 
+@pytest.mark.parametrize("mode, edges", [("sdag", True), ("fcg", False)])
+def test_run_scores_edges_only_for_sdag(pipeline, tmp_path, monkeypatch, mode, edges):
+    calls = []
+    real = sdag.cli.generate_sdag
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdag.cli, "generate_sdag", spy)
+    code, _ = run_cli(
+        [
+            "run",
+            "--question", "Why does the enzyme stall at low pH?",
+            "--checkpoint", str(pipeline["checkpoint"]),
+            "--profiles", str(pipeline["profiles"]),
+            "--pool", str(pipeline["pool"]),
+            "--backends", str(pipeline["backends"]),
+            "--mode", mode,
+            "--trace", str(tmp_path / "trace.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert calls == [{"edges": edges}]
+
+
 def test_eval_no_gnn_full_accuracy(pipeline, tmp_path):
     report_path = tmp_path / "report.json"
     code, out = run_cli(
@@ -614,3 +640,26 @@ def test_malformed_mock_rule_exits_two(pipeline, tmp_path, capsys, rule, expect)
     assert err.startswith("error:") and "mock backend 'mock-expert': mock rule 0" in err
     assert expect in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "curate"])
+def test_duplicate_question_id_exits_two(pipeline, tmp_path, capsys, command):
+    # The second line repeats the first line's id; the blank line between
+    # them still counts, so the duplicate is reported on line 3.
+    line = json.loads(pipeline["curated"].read_text(encoding="utf-8").splitlines()[0])
+    data = tmp_path / "dup.jsonl"
+    data.write_text(
+        json.dumps(line) + "\n\n" + json.dumps({**line, "question": "another"}) + "\n",
+        encoding="utf-8",
+    )
+    argv = {
+        "eval": ["eval", "--mode", "single_cot", "--data", str(data), "--split", "all",
+                 "--pool", str(pipeline["pool"])],
+        "curate": ["curate", "--in", str(data), "--out", str(tmp_path / "out.jsonl")],
+    }[command]
+    code, out = run_cli(argv + ["--backends", str(pipeline["backends"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {data}:3: duplicate id {line['id']!r} (first on line 1)\n"
+    assert not (tmp_path / "out.jsonl").exists()

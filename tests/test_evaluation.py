@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdag.evaluation
+import sdag.router.model as model
 from conftest import make_profiling_records, oracle_client, oracle_pool
+from sdag.embedding import HashedEmbedder
 from sdag.errors import EmptySplit
 from sdag.evaluation import (
     MODES,
@@ -22,6 +24,7 @@ from sdag.evaluation import (
     render_report,
 )
 from sdag.profiling import run_profiling
+from sdag.synthetic import SyntheticConfig, generate_synthetic_records
 
 
 def eval_records():
@@ -250,6 +253,42 @@ def test_sdag_mode_runs_with_trained_router(trained_router, oracle_store):
     assert report.questions == 5
     assert 0.0 <= report.accuracy_mean <= 1.0
     assert report.avg_calls >= 1.0
+
+
+@pytest.mark.parametrize("mode", ["sdag", "random_model", "fcg"])
+def test_only_modes_that_execute_edges_score_edge_rows(mode, oracle_store, monkeypatch):
+    # The seeded untrained router at the benchmark dims keeps several
+    # subjects per question, so sdag and random_model score their kept rows;
+    # fcg reads only the nodes and must request no row at all.
+    dims = model.RouterDims(d_s=32, d_q=256, h=64, L=2)
+    params, embedder = model.init_params(dims, seed=0), HashedEmbedder(d=dims.d_q)
+    requested, routed = [], []
+    real_stage, real_generate = model._edge_stage, sdag.evaluation.generate_sdag
+
+    def spy_stage(params, x, h_q, rows):
+        requested.append(rows.tolist())
+        return real_stage(params, x, h_q, rows)
+
+    def spy_generate(*args, **kwargs):
+        dag = real_generate(*args, **kwargs)
+        routed.append(dag)
+        return dag
+
+    monkeypatch.setattr(model, "_edge_stage", spy_stage)
+    monkeypatch.setattr(sdag.evaluation, "generate_sdag", spy_generate)
+    records = generate_synthetic_records(SyntheticConfig(n_questions=20, seed=0))
+    evaluate(
+        records, oracle_client(), oracle_pool(), EvalConfig(mode=mode, seeds=2),
+        params=params, embedder=embedder, store=oracle_store,
+    )
+    assert len(routed) == len(records)
+    kept_rows = [[s.index for s in dag.subjects()] for dag in routed if len(dag.nodes) > 1]
+    assert kept_rows
+    if mode == "fcg":
+        assert requested == []
+        assert all(dag.edges == [] for dag in routed)
+    else:
+        assert requested == kept_rows
 
 
 # -- rendering --------------------------------------------------------------

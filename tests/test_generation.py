@@ -221,3 +221,23 @@ def test_generate_sdag_matches_assembly_over_full_grid(words, seed, node_thresho
     full = route(params, emb.embed(question))
     expected = assemble_dag(full.node_probs, full.edge_probs, config)
     assert generate_sdag(question, params, emb, config) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(WORDS), max_size=12),
+    seed=st.integers(0, 7),
+    node_threshold=NEAR_HALF,
+    edge_threshold=NEAR_HALF,
+)
+def test_generate_sdag_without_edges_keeps_the_same_nodes(
+    words, seed, node_threshold, edge_threshold
+):
+    question = " ".join(words)
+    params = bench_router(seed)
+    emb = HashedEmbedder(d=BENCH_DIMS.d_q)
+    config = GenerationConfig(node_threshold=node_threshold, edge_threshold=edge_threshold)
+    with_edges = generate_sdag(question, params, emb, config)
+    nodes_only = generate_sdag(question, params, emb, config, edges=False)
+    assert nodes_only.nodes == with_edges.nodes
+    assert nodes_only.edges == []

@@ -106,6 +106,20 @@ def test_non_finite_tensor_is_corrupt(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+def test_non_finite_number_in_tensor_is_corrupt(tmp_path, literal):
+    # Python's json reads these literals as floats; the string "NaN" of the
+    # test above is rejected earlier, as not numeric.
+    params = init_params(DIMS, seed=0)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    payload["tensors"]["init.b"][0] = "LITERAL"
+    path.write_text(json.dumps(payload).replace('"LITERAL"', literal))
+    with pytest.raises(CorruptCheckpoint, match="tensor init.b has non-finite values"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "name, value, kind",
     [

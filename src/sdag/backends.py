@@ -17,43 +17,46 @@ import queue
 import re
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AuthError, NoRuleMatched, Timeout, TransportError
-from .fileio import BACKEND_FIELDS, RULE_FIELDS, check_fields, read_entry_list, read_json
+from .fileio import (
+    BACKEND_FIELDS,
+    MATCH_FIELDS,
+    METADATA_FIELDS,
+    RULE_FIELDS,
+    check_fields,
+    read_entry_list,
+    read_json,
+)
 
 if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TEMPERATURE = 0.7
-DEFAULT_MAX_TOKENS = 4096
+# Sampling settings of every remote request.
+TEMPERATURE = 0.7
+MAX_TOKENS = 4096
 
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat call: backend name, messages, sampling knobs, trace metadata.
+    """One chat call: backend name, the user message, trace metadata.
 
     Metadata never goes over the wire; it drives mock scripts and tracing.
     """
 
     backend: str
     user: str
-    system: str | None = None
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.backend:
             raise ValueError("backend name is required")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class ChatResponse:
     latency: float
     attempts: int
     backend: str
-    simulated: bool = False
 
     def __post_init__(self):
         if self.latency < 0:
@@ -117,36 +119,12 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class MockRule:
-    """One script entry. Exactly one matcher: substring, regex (compiled by
-    `parse_rules`), metadata ({field, equals} literal or {field, equals_field}
-    cross-reference), or default. First matching rule in file order wins.
+    """One script entry: its reply template, and the predicate on a request
+    that `parse_rules` compiled from its matcher. First match in file order wins.
     """
 
     reply: str
-    substring: str | None = None
-    regex: re.Pattern | None = None
-    meta_field: str | None = None
-    meta_equals: str | None = None
-    meta_equals_field: str | None = None
-    default: bool = False
-
-    def matches(self, req: ChatRequest) -> bool:
-        if self.default:
-            return True
-        if self.substring is not None:
-            return self.substring in _full_text(req)
-        if self.regex is not None:
-            return self.regex.search(_full_text(req)) is not None
-        if self.meta_field is not None:
-            value = req.metadata.get(self.meta_field)
-            if self.meta_equals_field is not None:
-                return value is not None and value == req.metadata.get(self.meta_equals_field)
-            return value is not None and str(value) == str(self.meta_equals)
-        return False
-
-
-def _full_text(req: ChatRequest) -> str:
-    return (req.system + "\n" + req.user) if req.system else req.user
+    matches: Callable[[ChatRequest], bool]
 
 
 def parse_rules(raw: list) -> list[MockRule]:
@@ -154,41 +132,40 @@ def parse_rules(raw: list) -> list[MockRule]:
     rules = []
     for i, entry in enumerate(raw):
         check_fields(f"mock rule {i}", entry, RULE_FIELDS)
-        reply, match = entry["reply"], entry.get("match", "default")
-        if match == "default":
-            rules.append(MockRule(reply=reply, default=True))
-        elif "substring" in match:
-            if not isinstance(match["substring"], str):
-                raise ValueError(f"mock rule {i}: substring must be a string")
-            rules.append(MockRule(reply=reply, substring=match["substring"]))
-        elif "regex" in match:
-            try:
-                regex = re.compile(match["regex"])
-            except (re.error, TypeError) as exc:
-                raise ValueError(f"mock rule {i}: bad regex {match['regex']!r}: {exc}") from None
-            rules.append(MockRule(reply=reply, regex=regex))
-        elif "metadata" in match:
-            spec = match["metadata"]
-            if (
-                not isinstance(spec, dict)
-                or not isinstance(spec.get("field"), str)
-                or ("equals" in spec) == ("equals_field" in spec)
-            ):
-                raise ValueError(
-                    f"mock rule {i}: a metadata matcher needs a string field and "
-                    f"exactly one of equals/equals_field, got {spec!r}"
-                )
-            rules.append(
-                MockRule(
-                    reply=reply,
-                    meta_field=spec["field"],
-                    meta_equals=spec.get("equals"),
-                    meta_equals_field=spec.get("equals_field"),
-                )
-            )
-        else:
-            raise ValueError(f"mock rule {i} has an unrecognized matcher: {match!r}")
+        rules.append(MockRule(entry["reply"], _matcher(f"mock rule {i}", entry.get("match"))))
     return rules
+
+
+def _matcher(where: str, match) -> Callable[[ChatRequest], bool]:
+    """The predicate of one rule's `match`: always true for "default" or none;
+    `substring` and `regex` test the user text; `metadata` compares a request
+    metadata field with a constant (as strings) or with another field."""
+    if match in (None, "default"):
+        return lambda req: True
+    check_fields(f"{where}: match", match, MATCH_FIELDS)
+    if "substring" in match:
+        needle = match["substring"]
+        return lambda req: needle in req.user
+    if "regex" in match:
+        try:
+            search = re.compile(match["regex"]).search
+        except re.error as exc:
+            raise ValueError(f"{where}: bad regex {match['regex']!r}: {exc}") from None
+        return lambda req: search(req.user) is not None
+    spec = match["metadata"]
+    try:
+        check_fields("metadata", spec, METADATA_FIELDS)
+    except ValueError as exc:
+        raise ValueError(
+            f"{where}: a metadata matcher needs a string field and exactly one of "
+            f"equals/equals_field ({exc})"
+        ) from None
+    key = spec["field"]
+    if "equals_field" in spec:
+        other = spec["equals_field"]
+        return lambda req: (v := req.metadata.get(key)) is not None and v == req.metadata.get(other)
+    expected = str(spec["equals"])
+    return lambda req: (v := req.metadata.get(key)) is not None and str(v) == expected
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
@@ -226,9 +203,7 @@ def mock_complete(script: list[MockRule], req: ChatRequest, *, seed: int = 0,
         if rule.matches(req):
             text = _render_reply(rule.reply, req.metadata)
             latency = _simulated_latency(seed, req.backend, req, *latency_ms)
-            return ChatResponse(
-                text=text, latency=latency, attempts=1, backend=req.backend, simulated=True
-            )
+            return ChatResponse(text=text, latency=latency, attempts=1, backend=req.backend)
     raise NoRuleMatched(f"backend {req.backend!r}: no rule matched and no default")
 
 
@@ -292,15 +267,11 @@ class RemoteBackend:
         import requests
 
         headers = self._headers()  # fails before any I/O when the key is missing
-        messages = []
-        if req.system:
-            messages.append({"role": "system", "content": req.system})
-        messages.append({"role": "user", "content": req.user})
         body = {
             "model": self.config.model,
-            "messages": messages,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "messages": [{"role": "user", "content": req.user}],
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         start = time.monotonic()
         last_error: Exception | None = None
@@ -370,28 +341,15 @@ class RemoteBackend:
 
 
 class CallCounter:
-    """Thread-safe per-run call accounting, keyed by backend and question."""
+    """Thread-safe count of the calls a client has made."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.total = 0
-        self.by_backend: dict[str, int] = {}
-        self.by_question: dict[str, int] = {}
 
-    def increment(self, backend: str, question_id: str | None = None) -> None:
+    def increment(self) -> None:
         with self._lock:
             self.total += 1
-            self.by_backend[backend] = self.by_backend.get(backend, 0) + 1
-            if question_id is not None:
-                self.by_question[question_id] = self.by_question.get(question_id, 0) + 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "total": self.total,
-                "by_backend": dict(self.by_backend),
-                "by_question": dict(self.by_question),
-            }
 
 
 class _Gate:
@@ -439,15 +397,9 @@ class ChatClient:
         backend = self.backends.get(req.backend)
         if backend is None:
             raise ValueError(f"unknown backend: {req.backend!r}")
-        self.counter.increment(req.backend, req.metadata.get("question_id"))
+        self.counter.increment()
         with self._gates[req.backend]:
             return backend.complete(req)
-
-
-def build_backend(config: BackendConfig, session: requests.Session | None = None):
-    if config.kind == "mock":
-        return MockBackend(config)
-    return RemoteBackend(config, session=session)
 
 
 def load_backend_configs(path: str | Path) -> list[BackendConfig]:
@@ -475,4 +427,7 @@ def load_backend_configs(path: str | Path) -> list[BackendConfig]:
 
 
 def build_client(configs: list[BackendConfig], session: requests.Session | None = None) -> ChatClient:
-    return ChatClient({c.name: build_backend(c, session=session) for c in configs})
+    return ChatClient({
+        c.name: MockBackend(c) if c.kind == "mock" else RemoteBackend(c, session=session)
+        for c in configs
+    })

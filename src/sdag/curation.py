@@ -145,9 +145,6 @@ class CuratedDataset:
     skipped: list[tuple[str, str]]
     stats: dict = field(default_factory=dict)
 
-    def split_records(self, split: str) -> list[QuestionRecord]:
-        return [r for r in self.records if r.split == split]
-
 
 def _annotate_question(record: QuestionRecord, client: ChatClient, cfg: CurationConfig):
     prompt = render_annotation_prompt(record)

@@ -3,7 +3,9 @@
 Every file the CLI reads is parsed by `read_json` (`parse_json` per line of
 a JSONL file), and each object in it is checked by `check_fields` against
 one of the field tables below: field -> (type, required), where a type is an
-(accepts, description) pair. docs/formats.md states the same tables. Every
+(accepts, description) pair and `required` is REQUIRED, OPTIONAL or ONE_OF
+(exactly one of a table's ONE_OF fields is present). docs/formats.md states
+the same tables, with `required` written as in its tables. Every
 file the package writes goes through `atomic_writer`.
 """
 
@@ -34,7 +36,7 @@ def or_null(kind: tuple) -> tuple:
     return (lambda v: v is None or kind[0](v), f"{kind[1]} or null")
 
 
-REQUIRED, OPTIONAL = True, False
+REQUIRED, OPTIONAL, ONE_OF = "yes", "no", "one of"
 
 # One line of a question dataset.
 RECORD_FIELDS = {
@@ -89,10 +91,18 @@ BACKEND_FIELDS = {
     ),
     "script_path": (or_null(STRING), OPTIONAL),
 }
-# One rule of a mock script; `match` is dispatched by `backends.parse_rules`.
+# One rule of a mock script, its matcher object, and a matcher's metadata
+# object; `backends.parse_rules` compiles each matcher into a predicate.
 RULE_FIELDS = {
     "reply": (STRING, REQUIRED),
     "match": ((lambda v: v == "default" or OBJECT[0](v), "'default' or an object"), OPTIONAL),
+}
+MATCH_FIELDS = {"substring": (STRING, ONE_OF), "regex": (STRING, ONE_OF), "metadata": (OBJECT, ONE_OF)}
+METADATA_FIELDS = {
+    "field": (STRING, REQUIRED),
+    "equals": ((lambda v: BOOLEAN[0](v) or STRING[0](v) or NUMBER[0](v),
+                "a string, number or boolean"), ONE_OF),
+    "equals_field": (STRING, ONE_OF),
 }
 
 
@@ -111,15 +121,20 @@ def read_json(path: str | Path, error: type[Exception]):
 
 def check_fields(where: str, entry, table: dict, error: type[Exception] = ValueError) -> None:
     """Raise `error` prefixed by `where` unless `entry` is an object holding
-    every required field of `table`, no other field, and each of the right type."""
+    every required field of `table`, exactly one of its ONE_OF fields if it
+    has any, no other field, and each of the right type."""
     if not isinstance(entry, dict):
         raise error(f"{where} is not an object")
-    missing = [name for name, (_, required) in table.items() if required and name not in entry]
+    missing = [name for name, (_, required) in table.items()
+               if required == REQUIRED and name not in entry]
     if missing:
         raise error(f"{where} lacks {', '.join(missing)}")
     unknown = sorted(set(entry) - set(table))
     if unknown:
         raise error(f"{where} has unknown field(s) {', '.join(unknown)}")
+    choices = [name for name, (_, required) in table.items() if required == ONE_OF]
+    if choices and sum(name in entry for name in choices) != 1:
+        raise error(f"{where} needs exactly one of {', '.join(choices)}")
     for name, ((accepts, expected), _) in table.items():
         if name in entry and not accepts(entry[name]):
             raise error(f"{where}: {name} must be {expected}")

@@ -180,10 +180,7 @@ def run_profiling(
     for record in split:
         if record.subjects is None:
             raise ValueError(f"record {record.id}: profiling needs finalized subjects")
-    # Fail before the first call, as evaluate() does. Only a ChatClient has a
-    # backend table; any other client is left to reject names per call.
-    if isinstance(client, ChatClient):
-        check_pool_backends(pool, client.backends)
+    check_pool_backends(pool, client.backends)  # fail before the first call, as evaluate() does
 
     results: list[GradedResult] = []
     calls = 0

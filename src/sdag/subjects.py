@@ -306,10 +306,6 @@ class QuestionRecord:
         if self.split is not None and self.split not in SPLITS:
             raise ValueError(f"record {self.id}: unknown split {self.split!r}")
 
-    @property
-    def gold_index(self) -> int:
-        return OPTION_LABELS.index(self.gold)
-
     def wrong_label(self) -> str:
         """Some existing non-gold option label (first in label order)."""
         for label in OPTION_LABELS[: len(self.options)]:

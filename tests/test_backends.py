@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import socket
 import subprocess
 import sys
@@ -37,10 +36,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_chat_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(backend="", user="hi")
-    with pytest.raises(ValueError):
-        ChatRequest(backend="b", user="hi", temperature=3.0)
-    with pytest.raises(ValueError):
-        ChatRequest(backend="b", user="hi", max_tokens=0)
 
 
 def test_chat_response_validation():
@@ -73,7 +68,6 @@ def sample_mock_client():
 def test_mock_substring_rule():
     reply = sample_mock_client().complete(ChatRequest(backend="mock-echo", user="what is 2+2?"))
     assert "<<4>>" in reply.text
-    assert reply.simulated
 
 
 def test_mock_regex_rule():
@@ -160,7 +154,6 @@ def test_parse_rules_rejects_malformed_matchers(match):
 
 def test_parse_rules_compiles_regex_at_load():
     (rule,) = parse_rules([{"match": {"regex": r"integral\s+of"}, "reply": "x"}])
-    assert isinstance(rule.regex, re.Pattern)
     assert rule.matches(ChatRequest(backend="b", user="the integral  of x"))
     assert not rule.matches(ChatRequest(backend="b", user="integralof"))
 
@@ -214,18 +207,16 @@ def test_remote_success_and_wire_format(scripted_server):
     scripted_server.enqueue(200, {"choices": [{"message": {"content": "hi there"}}]})
     backend = RemoteBackend(remote_config(scripted_server.url))
     reply = backend.complete(
-        ChatRequest(backend="rb", user="question text", system="be brief", temperature=0.2)
+        ChatRequest(backend="rb", user="question text", metadata={"question_id": "q1"})
     )
     assert reply.text == "hi there"
     assert reply.attempts == 1
-    assert not reply.simulated
-    sent = scripted_server.requests[0]["json"]
-    assert sent["model"] == "test-model"
-    assert sent["temperature"] == 0.2
-    assert sent["messages"] == [
-        {"role": "system", "content": "be brief"},
-        {"role": "user", "content": "question text"},
-    ]
+    assert scripted_server.requests[0]["json"] == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": "question text"}],
+        "temperature": 0.7,
+        "max_tokens": 4096,
+    }
 
 
 def test_remote_retries_5xx_then_succeeds(scripted_server):
@@ -342,19 +333,16 @@ def test_remote_connection_refused_retries():
 def test_call_counter_thread_safety():
     counter = CallCounter()
 
-    def worker(i):
+    def worker():
         for _ in range(25):
-            counter.increment("b", f"q{i % 2}")
+            counter.increment()
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    snap = counter.snapshot()
-    assert snap["total"] == 200
-    assert snap["by_backend"] == {"b": 200}
-    assert snap["by_question"]["q0"] + snap["by_question"]["q1"] == 200
+    assert counter.total == 200
 
 
 def test_client_counts_and_routes():
@@ -364,7 +352,7 @@ def test_client_counts_and_routes():
     ])
     assert client.complete(ChatRequest(backend="a", user="u")).text == "from a"
     assert client.complete(ChatRequest(backend="b", user="u")).text == "from b"
-    assert client.counter.snapshot()["by_backend"] == {"a": 1, "b": 1}
+    assert client.counter.total == 2
 
 
 class CountingBackend:
@@ -393,7 +381,7 @@ class CountingBackend:
         finally:
             with self.lock:
                 self.inside -= 1
-        return ChatResponse(text="ok", latency=0.0, attempts=1, backend="c", simulated=True)
+        return ChatResponse(text="ok", latency=0.0, attempts=1, backend="c")
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 3])

@@ -9,6 +9,7 @@ silently wrong value.
 import copy
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdag import fileio
 from sdag.cli import main
 from sdag.errors import CorruptCheckpoint, CorruptProfileStore
 from sdag.profiling import ModelProfile, ProfileStore, load_profiles, save_profiles
@@ -24,6 +26,7 @@ from sdag.router.checkpoint import load_checkpoint, save_checkpoint
 from sdag.router.model import RouterDims, init_params
 from sdag.subjects import SUBJECTS, Subject
 
+ROOT = Path(__file__).resolve().parents[1]
 DIMS = RouterDims(d_s=2, d_q=8, h=3, L=1)
 FILES = {
     "dataset": "data.jsonl",
@@ -63,6 +66,7 @@ def valid_documents() -> dict:
             ]},
             "rules": [
                 {"match": {"substring": "never"}, "reply": "<<B>>"},
+                {"match": {"metadata": {"field": "role", "equals_field": "gold"}}, "reply": "<<C>>"},
                 {"match": "default", "reply": "<<A>>"},
             ],
         }
@@ -96,7 +100,15 @@ def checked_objects(kind: str, doc) -> list[tuple[tuple, tuple[str, ...]]]:
         return [((), ("backends",))] + [
             (("backends", i), ("name", "kind")) for i in range(len(doc["backends"]))
         ]
-    return [((i,), ("reply",)) for i in range(len(doc))]
+    objects = []
+    for i, rule in enumerate(doc):
+        objects.append(((i,), ("reply",)))
+        if isinstance(rule.get("match"), dict):
+            # Dropping a matcher's one choice, or any metadata field, leaves too few.
+            objects.append(((i, "match"), tuple(rule["match"])))
+            if "metadata" in rule["match"]:
+                objects.append(((i, "match", "metadata"), tuple(rule["match"]["metadata"])))
+    return objects
 
 
 def at(doc, path: tuple):
@@ -336,6 +348,32 @@ def test_pool_typos_are_rejected_at_load(tmp_path, entry, message):
     assert err == f"error: {tmp_path / FILES['pool']}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "match, message",
+    [
+        pytest.param({"substring": "x", "regex": "("},
+                     "match needs exactly one of substring, regex, metadata", id="two-matchers"),
+        pytest.param({"substring": "x", "typo": 1}, "match has unknown field(s) typo",
+                     id="unknown-matcher-field"),
+        pytest.param({"metadata": {"field": "a", "equals": "b", "extra": 1}},
+                     "a metadata matcher needs a string field and exactly one of "
+                     "equals/equals_field (metadata has unknown field(s) extra)",
+                     id="unknown-metadata-field"),
+        pytest.param({"metadata": {"field": "a", "equals": ["b"]}},
+                     "a metadata matcher needs a string field and exactly one of "
+                     "equals/equals_field (metadata: equals must be a string, number or boolean)",
+                     id="list-equals"),
+    ],
+)
+def test_malformed_matcher_names_backend_and_rule(tmp_path, match, message):
+    rules = [{"match": "default", "reply": "<<A>>"}, {"match": match, "reply": "<<B>>"}]
+    err = eval_with(tmp_path, "rules", json.dumps(rules))
+    assert err == (
+        f"error: {tmp_path / FILES['backends']}: entry 0: "
+        f"mock backend 'mock': mock rule 1: {message}\n"
+    )
+
+
 def test_mock_rule_fields_are_checked_at_load(tmp_path):
     rules = [{"match": "default", "reply": "<<A>>", "defualt": True}]
     err = eval_with(tmp_path, "rules", json.dumps(rules))
@@ -343,3 +381,32 @@ def test_mock_rule_fields_are_checked_at_load(tmp_path):
         f"error: {tmp_path / FILES['backends']}: entry 0: "
         "mock backend 'mock': mock rule 0 has unknown field(s) defualt\n"
     )
+
+
+# -- the documented tables are the code's tables -----------------------------
+
+def documented_tables() -> list[list[tuple[str, str]]]:
+    """Every `| field | type | required |` table of docs/formats.md, in order,
+    as (field name, the first word(s) of its required cell) in row order."""
+    tables, rows = [], None
+    for line in (ROOT / "docs" / "formats.md").read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells == ["field", "type", "required"]:
+            rows = []
+            tables.append(rows)
+        elif rows is not None and line.startswith("|"):
+            if set(cells[0]) <= set("-"):
+                continue
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                rows.append((name, re.match(r"yes|no|one of", cells[2]).group()))
+        else:
+            rows = None
+    return tables
+
+
+def test_documented_tables_are_the_field_tables():
+    # sdag.fileio defines its tables in the order docs/formats.md states them.
+    tables = [table for name, table in vars(fileio).items() if name.endswith("_FIELDS")]
+    assert documented_tables() == [
+        [(name, required) for name, (_, required) in table.items()] for table in tables
+    ]

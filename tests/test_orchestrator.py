@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdag.orchestrator
-from sdag.backends import BackendConfig, ChatClient, ChatResponse, build_backend, build_client
+from sdag.backends import BackendConfig, ChatClient, ChatResponse, MockBackend, build_client
 from sdag.errors import AuthError, NoRuleMatched, RoleInputMismatch, TransportError
 from sdag.orchestrator import (
     ANSWER_FORMAT_LINE,
@@ -287,7 +287,7 @@ class DeadBackend:
 
 def echo_and_dead_client():
     echo = BackendConfig(name="echo", kind="mock", script=[{"reply": "fine <<A>>"}])
-    return ChatClient({"echo": build_backend(echo), "dead": DeadBackend()})
+    return ChatClient({"echo": MockBackend(echo), "dead": DeadBackend()})
 
 
 def test_execute_failed_support_becomes_unavailable():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import DAMAGE, damaged, make_profiling_records, oracle_client, oracle_pool
-from sdag.backends import BackendConfig, build_client
+from sdag.backends import BackendConfig, ChatClient, build_client
 from sdag.errors import (
     CorruptProfileStore,
     EmptyPool,
@@ -233,13 +233,19 @@ def test_run_profiling_unknown_backend_fails_before_any_call():
     assert client.counter.total == 0
 
 
-class FailingClient:
+class DownBackend:
+    """Simulated backend whose every call exhausts its retry budget."""
+
+    config = BackendConfig(name="down", kind="mock")
+    simulated = True
+
     def complete(self, req):
         raise TransportError("down", attempts=3)
 
 
 def test_run_profiling_transport_failure_grades_incorrect():
-    store = run_profiling(two_model_pool(), three_records(), FailingClient())
+    client = ChatClient({"echo": DownBackend(), "mute": DownBackend()})
+    store = run_profiling(two_model_pool(), three_records(), client)
     assert store.provenance["transport_failures"] == 6
     assert all(p.uniform_fallback for p in store.profiles.values())
 

@@ -201,7 +201,6 @@ def test_dominant_subject_tie_breaks_canonically():
 
 def test_question_record_validation():
     r = QuestionRecord(id="q1", question="What?", options=["a", "b"], gold="B")
-    assert r.gold_index == 1
     assert r.wrong_label() == "A"
     assert r.formatted_options() == "A. a\nB. b"
     with pytest.raises(ValueError):

@@ -97,7 +97,11 @@ RULE_FIELDS = {
     "reply": (STRING, REQUIRED),
     "match": ((lambda v: v == "default" or OBJECT[0](v), "'default' or an object"), OPTIONAL),
 }
-MATCH_FIELDS = {"substring": (STRING, ONE_OF), "regex": (STRING, ONE_OF), "metadata": (OBJECT, ONE_OF)}
+MATCH_FIELDS = {
+    "substring": (STRING, ONE_OF),
+    "regex": (STRING, ONE_OF),
+    "metadata": (OBJECT, ONE_OF),
+}
 METADATA_FIELDS = {
     "field": (STRING, REQUIRED),
     "equals": ((lambda v: BOOLEAN[0](v) or STRING[0](v) or NUMBER[0](v),

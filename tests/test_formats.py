@@ -66,7 +66,8 @@ def valid_documents() -> dict:
             ]},
             "rules": [
                 {"match": {"substring": "never"}, "reply": "<<B>>"},
-                {"match": {"metadata": {"field": "role", "equals_field": "gold"}}, "reply": "<<C>>"},
+                {"match": {"metadata": {"field": "role", "equals_field": "gold"}},
+                 "reply": "<<C>>"},
                 {"match": "default", "reply": "<<A>>"},
             ],
         }
@@ -384,6 +385,7 @@ def test_mock_rule_fields_are_checked_at_load(tmp_path):
 
 
 # -- the documented tables are the code's tables -----------------------------
+
 
 def documented_tables() -> list[list[tuple[str, str]]]:
     """Every `| field | type | required |` table of docs/formats.md, in order,

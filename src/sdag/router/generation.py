@@ -77,18 +77,24 @@ def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig)
 def generate_sdag(
     question, params, embedder, config: GenerationConfig = GenerationConfig(),
     *, edges: bool = True,
-) -> SDag:
-    """Embed a question, run the router, and assemble the subject DAG.
+):
+    """Embed questions, route them as one stack, and assemble their DAGs.
 
-    Edges are scored only from the subjects the DAG keeps, and not at all for
-    a single-node DAG. With `edges=False` no edge is scored and the DAG keeps
-    its nodes only, for callers that never read edges (fully connected
-    execution); the nodes are the same as with edges.
+    `question` is one question, for which one SDag is returned, or a list of
+    questions, for which their DAGs are returned in order; each is the same
+    DAG as generated alone. Edges are scored only from the subjects a DAG
+    keeps, and not at all for a single-node DAG; the rows of every question
+    are scored in one edge-head call. With `edges=False` no edge is scored and
+    each DAG keeps its nodes only, for callers that never read edges (fully
+    connected execution); the nodes are the same as with edges.
     """
     from .model import route
 
-    h_q = embedder.embed(question)
-    output = route(params, h_q)
-    kept = kept_nodes(output.node_probs, config) if edges else []
-    edge_probs = output.edge_rows(kept if len(kept) > 1 else [])
-    return assemble_dag(output.node_probs, edge_probs, config)
+    questions = [question] if isinstance(question, str) else list(question)
+    if not questions:
+        return []
+    output = route(params, np.stack([embedder.embed(q) for q in questions]))
+    kept = [kept_nodes(p, config) if edges else [] for p in output.node_probs]
+    edge_probs = output.edge_rows([rows if len(rows) > 1 else [] for rows in kept])
+    dags = [assemble_dag(p, e, config) for p, e in zip(output.node_probs, edge_probs)]
+    return dags[0] if isinstance(question, str) else dags

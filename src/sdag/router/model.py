@@ -9,6 +9,13 @@ The edge head scores one source subject's row of 15 targets at a time, so a
 row's scores do not depend on which other rows are scored. Training scores
 all 15 rows; `route()` scores edges on demand, so a DAG that keeps k subjects
 pays for k rows, not the full grid.
+
+The forward stages take one question's (15, h) node states or a (B, 15, h)
+stack of them. A stacked matmul runs one BLAS call per (15, h) slice, and
+every other step is element-wise or reduces within one slice, so a question
+routed in a stack gets the same bits as routed alone; flattening the stack
+into one (B * 15, h) product would not. Training passes single questions;
+evaluation routes its questions in stacked chunks.
 """
 
 from __future__ import annotations
@@ -147,7 +154,8 @@ class RouterOutput:
 
         Only those rows may be read. The output of `route()` scores just them
         (none for an empty list), with the same bits as in its full grid, and
-        leaves the other rows 0.
+        leaves the other rows 0. The output of a stacked `route()` takes one
+        list of rows per question and returns a (B, 15, 15) stack of grids.
         """
         return self.edge_probs
 
@@ -178,7 +186,8 @@ def _checked(x: Array, shape: tuple[int, ...], what: str) -> Array:
 
 
 def _init_stage(params: RouterParams, h_q: Array) -> Array:
-    """Fuse every subject embedding with the question embedding (15 x h)."""
+    """Fuse every subject embedding with the question embedding: (15, h)
+    node states for a (d_q,) embedding, (B, 15, h) for a (B, 1, d_q) stack."""
     t = params.tensors
     w = t["init.w"]
     d_s = params.dims.d_s
@@ -191,7 +200,7 @@ def _layer_stage(params: RouterParams, layer: int, x: Array) -> tuple[Array, Arr
     """One message-passing layer; returns (neighbour mean, new node states)."""
     t = params.tensors
     # Row i is the mean of every row except i.
-    mean = (x.sum(axis=0) - x) / (NUM_SUBJECTS - 1)
+    mean = (x.sum(axis=-2, keepdims=True) - x) / (NUM_SUBJECTS - 1)
     pre = x @ t[f"mp{layer}.w_self"] + mean @ t[f"mp{layer}.w_msg"] + t[f"mp{layer}.b"]
     return mean, _activate(params.dims, pre)
 
@@ -203,21 +212,27 @@ def _node_stage(params: RouterParams, x: Array) -> tuple[Array, Array]:
     return hidden, hidden @ t["node_head.w2"][:, 0] + t["node_head.b2"][0]
 
 
-def _edge_stage(params: RouterParams, x: Array, h_q: Array, rows: Array) -> tuple[Array, Array]:
-    """Edge head for the source subjects `rows` against all 15 targets.
+def _edge_stage(params: RouterParams, x: Array, h_q: Array, at: tuple) -> tuple[Array, Array]:
+    """Edge head for chosen source subjects against all 15 targets.
 
-    Returns (hidden, logits) of shapes (len(rows), 15, h) and (len(rows), 15);
-    entry [k, j] scores the edge rows[k] -> j, self-edges included. Each row
-    is reduced on its own (15, h) block, so its logits are the same bits
-    whichever other rows are scored with it.
+    `at` indexes the source rows in the leading axes of `x`: `(rows,)` for
+    one question's (15, h) states, `(questions, rows)` pairs for a (B, 15, h)
+    stack. Returns (hidden, logits) of shapes (P, 15, h) and (P, 15) for P
+    sources; entry [k, j] scores the edge from source k to subject j of its
+    question, self-edges included. Each source is reduced on its own (15, h)
+    block, so its logits are the same bits whichever other rows are scored
+    with it.
     """
     t = params.tensors
     h = params.dims.h
+    # Each source meets the target and question blocks of its own question;
+    # for one question `question` is () and they broadcast whole.
+    question = at[:-1]
     # concat(x[i], x[j], h_q) @ w1, split into its source, target and question
     # blocks, summed and rectified in one buffer.
     w1 = t["edge_head.w1"]
-    hidden = np.add((x @ w1[:h])[rows, None, :], x @ w1[h : 2 * h])
-    hidden += h_q @ w1[2 * h :] + t["edge_head.b1"]
+    hidden = np.add((x @ w1[:h])[at][:, None, :], (x @ w1[h : 2 * h])[question])
+    hidden += (h_q @ w1[2 * h :] + t["edge_head.b1"])[question]
     np.maximum(hidden, 0.0, out=hidden)
     return hidden, hidden @ t["edge_head.w2"][:, 0] + t["edge_head.b2"][0]
 
@@ -233,7 +248,8 @@ def _edge_output(logits: Array, rows: Array) -> tuple[Array, Array]:
 
 
 class _RoutedOutput(RouterOutput):
-    """A router output that scores edges per source row on demand.
+    """A router output that scores edges per source row on demand, for one
+    question or, with a leading axis on every array, for a stack.
 
     The full grids are scored on first read of `edge_probs` or
     `edge_logits`, bit for bit as `ForwardTape` scores them.
@@ -244,19 +260,31 @@ class _RoutedOutput(RouterOutput):
         self.node_logits = _node_stage(params, x)[1]
         self.node_probs = _sigmoid(self.node_logits)
 
+    def _scored(self, rows) -> tuple[Array, Array]:
+        """Edge (logits, probabilities) grids with rows `rows` scored and the
+        other entries 0; for a stack, `rows` holds one list per question."""
+        params, x, h_q = self._edge_inputs
+        if x.ndim == 2:
+            at = (np.asarray(rows, dtype=np.intp),)
+        else:
+            at = (np.repeat(np.arange(len(x)), [len(r) for r in rows]),
+                  np.array([i for r in rows for i in r], dtype=np.intp))
+        logits = np.zeros(x.shape[:-1] + (NUM_SUBJECTS,))
+        probs = np.zeros_like(logits)
+        if len(at[-1]):
+            logits[at], probs[at] = _edge_output(_edge_stage(params, x, h_q, at)[1], at[-1])
+        return logits, probs
+
     @functools.cached_property
     def _edges(self) -> tuple[Array, Array]:
-        return _edge_output(_edge_stage(*self._edge_inputs, ALL_ROWS)[1], ALL_ROWS)
+        x = self._edge_inputs[1]
+        return self._scored(ALL_ROWS if x.ndim == 2 else [ALL_ROWS] * len(x))
 
     edge_logits = property(lambda self: self._edges[0])
     edge_probs = property(lambda self: self._edges[1])
 
-    def edge_rows(self, rows: list[int]) -> Array:
-        grid = np.zeros((NUM_SUBJECTS, NUM_SUBJECTS))
-        if rows:
-            rows = np.asarray(rows)
-            grid[rows] = _edge_output(_edge_stage(*self._edge_inputs, rows)[1], rows)[1]
-        return grid
+    def edge_rows(self, rows) -> Array:
+        return self._scored(rows)[1]
 
 
 class ForwardTape:
@@ -276,7 +304,7 @@ class ForwardTape:
         self.node_hidden, self.node_logits = _node_stage(params, self.x_final)
         # The full 15 x 15 grid; its diagonal is computed but never read.
         self.edge_hidden, self.edge_logits = _edge_stage(
-            params, self.x_final, self.h_q, ALL_ROWS
+            params, self.x_final, self.h_q, (ALL_ROWS,)
         )
 
     def output(self) -> RouterOutput:
@@ -353,8 +381,17 @@ def backward(
 
 def route(params: RouterParams, h_q: Array) -> RouterOutput:
     """Full forward pass: fuse, message-pass and score the nodes; edges are
-    scored per source row on demand (see `RouterOutput.edge_rows`)."""
-    h_q = _checked(h_q, (params.dims.d_q,), "question embedding")
+    scored per source row on demand (see `RouterOutput.edge_rows`).
+
+    `h_q` is one (d_q,) question embedding, or a (B, d_q) stack of them whose
+    output carries a leading axis of B questions, each with the same bits as
+    routed alone.
+    """
+    h_q = np.asarray(h_q, dtype=np.float64)
+    d_q = params.dims.d_q
+    h_q = _checked(h_q, (len(h_q), d_q) if h_q.ndim == 2 else (d_q,), "question embedding")
+    if h_q.ndim == 2:
+        h_q = h_q[:, None, :]  # each question's (1, d_q) slice meets its (15, h) one
     x = _init_stage(params, h_q)
     for layer in range(params.dims.L):
         x = _layer_stage(params, layer, x)[1]

@@ -1,6 +1,7 @@
 """Evaluation harness: mode wiring, determinism, aggregation, rendering."""
 
 import dataclasses
+import functools
 import json
 import json.encoder
 from unittest import mock
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 import sdag.evaluation
 import sdag.router.model as model
 from conftest import make_profiling_records, oracle_client, oracle_pool
+from sdag.backends import ChatClient
 from sdag.embedding import HashedEmbedder
 from sdag.errors import EmptySplit
 from sdag.evaluation import (
     MODES,
+    ROUTE_CHUNK,
     EvalConfig,
     EvalReport,
     _canonical_json,
@@ -159,7 +162,8 @@ def test_no_gnn_oracle_accuracy_and_calls(oracle_store):
     # two-subject ground truth graphs: one support, one dominant
     assert report.avg_calls == 2.0
     assert report.total_llm_calls == 2 * 2 * len(records)
-    assert client.counter.total == report.total_llm_calls
+    # Under mocks the second seed repeats the first without calling again.
+    assert client.counter.total == report.total_llm_calls // 2
     assert report.questions == len(records)
     assert len(report.outcomes) == 2 * len(records)
 
@@ -224,7 +228,8 @@ def test_single_cot_one_call_per_question():
     )
     assert report.avg_calls == 1.0
     assert report.total_llm_calls == 2 * len(records)
-    assert client.counter.total == report.total_llm_calls
+    # Under mocks the second seed repeats the first without calling again.
+    assert client.counter.total == report.total_llm_calls // 2
     model_ids = {r["model_id"] for o in report.outcomes for r in o.trace}
     # default model: lexicographically first pool id
     assert model_ids == {"expert-biology"}
@@ -259,36 +264,139 @@ def test_sdag_mode_runs_with_trained_router(trained_router, oracle_store):
 def test_only_modes_that_execute_edges_score_edge_rows(mode, oracle_store, monkeypatch):
     # The seeded untrained router at the benchmark dims keeps several
     # subjects per question, so sdag and random_model score their kept rows;
-    # fcg reads only the nodes and must request no row at all.
+    # fcg reads only the nodes and must request no row at all. Questions are
+    # routed in chunks, each scoring its (question, row) pairs in one call.
     dims = model.RouterDims(d_s=32, d_q=256, h=64, L=2)
     params, embedder = model.init_params(dims, seed=0), HashedEmbedder(d=dims.d_q)
-    requested, routed = [], []
+    requested, routed, chunks = [], [], []
     real_stage, real_generate = model._edge_stage, sdag.evaluation.generate_sdag
 
-    def spy_stage(params, x, h_q, rows):
-        requested.append(rows.tolist())
-        return real_stage(params, x, h_q, rows)
+    def spy_stage(params, x, h_q, at):
+        questions, rows = at
+        # Number each pair by its question's place in the evaluate() order.
+        requested.extend(zip((len(routed) + questions).tolist(), rows.tolist()))
+        return real_stage(params, x, h_q, at)
 
-    def spy_generate(*args, **kwargs):
-        dag = real_generate(*args, **kwargs)
-        routed.append(dag)
-        return dag
+    def spy_generate(questions, *args, **kwargs):
+        dags = real_generate(questions, *args, **kwargs)
+        chunks.append(len(questions))
+        routed.extend(dags)
+        return dags
 
     monkeypatch.setattr(model, "_edge_stage", spy_stage)
     monkeypatch.setattr(sdag.evaluation, "generate_sdag", spy_generate)
-    records = generate_synthetic_records(SyntheticConfig(n_questions=20, seed=0))
+    records = generate_synthetic_records(
+        SyntheticConfig(n_questions=ROUTE_CHUNK + 8, seed=0)
+    )
     evaluate(
         records, oracle_client(), oracle_pool(), EvalConfig(mode=mode, seeds=2),
         params=params, embedder=embedder, store=oracle_store,
     )
+    assert chunks == [ROUTE_CHUNK, 8]
     assert len(routed) == len(records)
-    kept_rows = [[s.index for s in dag.subjects()] for dag in routed if len(dag.nodes) > 1]
+    kept_rows = [
+        (i, s.index) for i, dag in enumerate(routed) if len(dag.nodes) > 1
+        for s in dag.subjects()
+    ]
     assert kept_rows
     if mode == "fcg":
         assert requested == []
         assert all(dag.edges == [] for dag in routed)
     else:
         assert requested == kept_rows
+
+
+# -- seeds ------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def untrained_routing():
+    """The seeded untrained router at the benchmark dims (it keeps edges), the
+    oracle profiles and 12 synthetic questions."""
+    dims = model.RouterDims(d_s=32, d_q=256, h=64, L=2)
+    store = run_profiling(oracle_pool(), make_profiling_records(), oracle_client())
+    records = generate_synthetic_records(SyntheticConfig(n_questions=12, seed=3))
+    return records, model.init_params(dims, seed=0), HashedEmbedder(d=dims.d_q), store
+
+
+class LiveMock:
+    """A mock backend that reports itself live, as a remote endpoint would."""
+
+    simulated = False
+
+    def __init__(self, mock):
+        self.mock, self.config = mock, mock.config
+
+    def complete(self, req):
+        return self.mock.complete(req)
+
+
+def live_oracle_client():
+    backends = oracle_client().backends
+    return ChatClient({name: LiveMock(b) for name, b in backends.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(["sdag", "no_gnn", "fcg", "single_cot"]),
+    seeds=st.integers(1, 4),
+    parallelism=st.sampled_from([1, 3]),
+)
+def test_simulated_seeds_repeat_seed_zero(mode, seeds, parallelism):
+    records, params, embedder, store = untrained_routing()
+
+    def run(n):
+        return evaluate(
+            records, oracle_client(), oracle_pool(),
+            EvalConfig(mode=mode, seeds=n, parallelism=parallelism),
+            params=params, embedder=embedder, store=store,
+        )
+
+    first, report = run(1), run(seeds)
+    assert report.outcomes == [
+        dataclasses.replace(o, seed=seed) for seed in range(seeds) for o in first.outcomes
+    ]
+    assert report.accuracy_mean == first.accuracy_mean
+    assert report.accuracy_std == float(np.std([first.accuracy_mean] * seeds))
+    assert report.total_llm_calls == seeds * first.total_llm_calls
+
+
+def count_executions(monkeypatch) -> list:
+    calls = []
+    real = sdag.evaluation.execute_dag
+
+    def counting(dag, record, *args, **kwargs):
+        calls.append(record.id)
+        return real(dag, record, *args, **kwargs)
+
+    monkeypatch.setattr(sdag.evaluation, "execute_dag", counting)
+    return calls
+
+
+def test_simulated_seeds_execute_each_record_once(monkeypatch):
+    records, params, embedder, store = untrained_routing()
+    calls = count_executions(monkeypatch)
+    client = oracle_client()
+    report = evaluate(
+        records, client, oracle_pool(), EvalConfig(mode="sdag", seeds=3),
+        params=params, embedder=embedder, store=store,
+    )
+    assert sorted(calls) == sorted(r.id for r in records)
+    assert len(report.outcomes) == 3 * len(records)
+    assert 3 * client.counter.total == report.total_llm_calls
+
+
+@pytest.mark.parametrize("mode, live", [("random_model", False), ("sdag", True)])
+def test_random_model_and_live_clients_run_every_seed(mode, live, monkeypatch):
+    records, params, embedder, store = untrained_routing()
+    calls = count_executions(monkeypatch)
+    client = live_oracle_client() if live else oracle_client()
+    report = evaluate(
+        records, client, oracle_pool(), EvalConfig(mode=mode, seeds=3),
+        params=params, embedder=embedder, store=store,
+    )
+    assert sorted(calls) == sorted([r.id for r in records] * 3)
+    assert client.counter.total == report.total_llm_calls
 
 
 # -- rendering --------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdag.embedding import HashedEmbedder
-from sdag.router.generation import GenerationConfig, assemble_dag, generate_sdag
+from sdag.router.generation import GenerationConfig, assemble_dag, generate_sdag, kept_nodes
 from sdag.router.model import RouterDims, init_params, route
 from sdag.subjects import MAX_DAG_NODES, SUBJECTS, Subject, validate_dag
 
@@ -241,3 +241,42 @@ def test_generate_sdag_without_edges_keeps_the_same_nodes(
     nodes_only = generate_sdag(question, params, emb, config, edges=False)
     assert nodes_only.nodes == with_edges.nodes
     assert nodes_only.edges == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.builds(
+        RouterDims, d_s=st.integers(1, 8), d_q=st.integers(2, 24), h=st.integers(1, 24),
+        L=st.integers(1, 3), activation=st.sampled_from(["relu", "linear"]),
+    ),
+    questions=st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+                       min_size=1, max_size=64),
+    seed=st.integers(0, 2**16),
+    # Untrained routers score near 0.5: these keep from 5 (the cap) down to 1.
+    node_threshold=st.floats(0.4, 0.6) | st.sampled_from([0.0, 0.99]),
+    edge_threshold=NEAR_HALF,
+)
+def test_stacked_routing_matches_per_question_bit_for_bit(
+    dims, questions, seed, node_threshold, edge_threshold
+):
+    params = init_params(dims, seed=seed)
+    emb = HashedEmbedder(d=dims.d_q)
+    config = GenerationConfig(node_threshold=node_threshold, edge_threshold=edge_threshold)
+    stacked = route(params, np.stack([emb.embed(q) for q in questions]))
+    kept = [kept_nodes(p, config) for p in stacked.node_probs]
+    grids = stacked.edge_rows(kept)
+    expected = []
+    for i, question in enumerate(questions):
+        alone = route(params, emb.embed(question))
+        for name in ("node_logits", "node_probs", "edge_logits", "edge_probs"):
+            assert getattr(stacked, name)[i].tobytes() == getattr(alone, name).tobytes(), name
+        rows = kept[i]
+        assert 1 <= len(rows) <= MAX_DAG_NODES
+        assert grids[i][rows].tobytes() == alone.edge_probs[rows].tobytes()
+        expected.append(assemble_dag(alone.node_probs, alone.edge_probs, config))
+    assert generate_sdag(questions, params, emb, config) == expected
+
+
+def test_generate_sdag_of_no_questions_is_empty():
+    params = init_params(RouterDims(d_s=2, d_q=4, h=2, L=1), seed=0)
+    assert generate_sdag([], params, HashedEmbedder(d=4)) == []

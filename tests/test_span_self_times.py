@@ -64,6 +64,31 @@ def test_self_times_per_question(spans_file):
     }
 
 
+def test_chunk_level_spans_are_spread_over_the_phase_questions(tmp_path):
+    # evaluate() routes its questions in one chunk before any question runs,
+    # so the chunk's spans carry no question id; their self time still counts
+    # per question of the phase.
+    chunked = [
+        span(1, "evaluate", 0, 100),
+        span(2, "generate", 0, 40, 1),
+        span(3, "route", 10, 30, 2),
+        span(4, "execute", 40, 70, 1, "q1"),
+        span(5, "execute", 70, 100, 1, "q2"),
+    ]
+    path = tmp_path / "spans.jsonl"
+    path.write_text("".join(json.dumps(s) + "\n" for s in chunked))
+    times = span_self_times.SelfTimes()
+    times.add(span_self_times.load_spans(path))
+    assert times.questions == {"offline.sdag": 2}
+    rows = {n: (count, round(us, 6)) for _, n, count, us, _ in times.rows()}
+    assert rows == {
+        "generate": (1, 10000.0),  # (40 - 20) ms over 2 questions
+        "route": (1, 10000.0),
+        "execute": (2, 30000.0),
+        "evaluate": (1, 0.0),
+    }
+
+
 def test_files_pool_and_phase_filter(spans_file, capsys):
     assert span_self_times.main([str(spans_file), str(spans_file), "--phase", "train"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -7,8 +7,12 @@ self time is its duration minus the part of it that its child spans cover
 (overlapping children count once). For each phase and span name this prints
 the number of spans and their summed self time per question, in us. A phase's
 questions are its distinct (root span, question id) pairs, so a question
-that one `evaluate()` call runs counts once however many spans it makes;
-phases without questions (setup, train, reference) print the total instead.
+that one `evaluate()` call runs counts once however many spans it makes.
+Spans without a question id count too: `evaluate()` routes its questions in
+stacked chunks before running any, so its routing spans (one route and one
+generate_sdag per chunk, embed and assemble_dag per question) carry none,
+and their self time is spread over the phase's questions.
+Phases without questions (setup, train, reference) print the total instead.
 Several files are pooled: counts, self times and questions add up.
 """
 

@@ -35,8 +35,8 @@ logger = logging.getLogger(__name__)
 
 MODES = ("sdag", "no_gnn", "fcg", "random_model", "single_cot")
 
-# Questions per stacked router call. A stack of 32 (15, h) node-state slices
-# still fits in L2 at the benchmark dims; 120 did not, and ran slower.
+# Questions per stacked router call. At the benchmark dims the routing time per
+# question stops falling at about this size; larger stacks only hold more memory.
 ROUTE_CHUNK = 32
 
 

@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import strategies as st
 
-from sdag.backends import BackendConfig, build_client
+from sdag.backends import BackendConfig, ChatClient, build_client
 from sdag.embedding import HashedEmbedder
 from sdag.profiling import ModelPoolEntry
 from sdag.router.loss import LossConfig
@@ -75,6 +75,24 @@ def oracle_pool() -> list[ModelPoolEntry]:
 def oracle_client():
     """Fresh client (and call counter) over the oracle backends."""
     return build_client(oracle_backend_configs())
+
+
+class LiveMock:
+    """A mock backend that reports itself live, as a remote endpoint would."""
+
+    simulated = False
+
+    def __init__(self, mock):
+        self.mock, self.config = mock, mock.config
+
+    def complete(self, req):
+        return self.mock.complete(req)
+
+
+def live(client: ChatClient) -> ChatClient:
+    """A client over the same mocks, each reporting itself live, so plans
+    take the one-thread-per-node schedule."""
+    return ChatClient({name: LiveMock(b) for name, b in client.backends.items()})
 
 
 def make_profiling_records() -> list[QuestionRecord]:

@@ -384,6 +384,30 @@ def test_assign_splits_profiling_from_test():
     assert counts == {"train": 7, "profiling": 2, "test": 1}
 
 
+@pytest.mark.parametrize(
+    "from_test, size, splits, warning",
+    [
+        (False, 3, "TPTTTETTEPEP", None),
+        (False, 20, "PPPPPPPPPPPP",
+         "profiling split truncated to 12 (dataset has only 12 records)"),
+        (True, 3, "PTTTTPTTETPT", None),
+        (True, 20, "PTTTTPTTPTPT",
+         "profiling split truncated to 4 (test portion has only 4 records)"),
+    ],
+)
+def test_assign_splits_pins_each_id(caplog, from_test, size, splits, warning):
+    # `splits` spells r00..r11's split: T(rain), E (test) or P(rofiling).
+    records = [annotated(f"r{i:02d}") for i in range(12)]
+    cfg = CurationConfig(seed=5, profiling_size=size, profiling_from_test=from_test)
+    with caplog.at_level(logging.WARNING, logger="sdag.curation"):
+        out = assign_splits(list(reversed(records)), cfg)
+    letter = {"train": "T", "test": "E", "profiling": "P"}
+    assert [r.id for r in out] == [r.id for r in records]
+    assert "".join(letter[r.split] for r in out) == splits
+    assert [r.message for r in caplog.records] == ([warning] if warning else [])
+    assert all(r.subjects == {M: 0.6, P: 0.4} and r.options == ["a", "b"] for r in out)
+
+
 def test_assign_splits_order_independent():
     records = [annotated(f"r{i:02d}") for i in range(12)]
     cfg = CurationConfig(seed=9, profiling_size=4)

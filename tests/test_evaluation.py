@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import sdag.evaluation
 import sdag.router.model as model
-from conftest import make_profiling_records, oracle_client, oracle_pool
-from sdag.backends import ChatClient
+from conftest import live, make_profiling_records, oracle_client, oracle_pool
 from sdag.embedding import HashedEmbedder
 from sdag.errors import EmptySplit
 from sdag.evaluation import (
@@ -319,23 +318,6 @@ def untrained_routing():
     return records, model.init_params(dims, seed=0), HashedEmbedder(d=dims.d_q), store
 
 
-class LiveMock:
-    """A mock backend that reports itself live, as a remote endpoint would."""
-
-    simulated = False
-
-    def __init__(self, mock):
-        self.mock, self.config = mock, mock.config
-
-    def complete(self, req):
-        return self.mock.complete(req)
-
-
-def live_oracle_client():
-    backends = oracle_client().backends
-    return ChatClient({name: LiveMock(b) for name, b in backends.items()})
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     mode=st.sampled_from(["sdag", "no_gnn", "fcg", "single_cot"]),
@@ -386,11 +368,11 @@ def test_simulated_seeds_execute_each_record_once(monkeypatch):
     assert 3 * client.counter.total == report.total_llm_calls
 
 
-@pytest.mark.parametrize("mode, live", [("random_model", False), ("sdag", True)])
-def test_random_model_and_live_clients_run_every_seed(mode, live, monkeypatch):
+@pytest.mark.parametrize("mode, live_client", [("random_model", False), ("sdag", True)])
+def test_random_model_and_live_clients_run_every_seed(mode, live_client, monkeypatch):
     records, params, embedder, store = untrained_routing()
     calls = count_executions(monkeypatch)
-    client = live_oracle_client() if live else oracle_client()
+    client = live(oracle_client()) if live_client else oracle_client()
     report = evaluate(
         records, client, oracle_pool(), EvalConfig(mode=mode, seeds=3),
         params=params, embedder=embedder, store=store,

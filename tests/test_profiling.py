@@ -7,7 +7,14 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import DAMAGE, damaged, make_profiling_records, oracle_client, oracle_pool
+from conftest import (
+    DAMAGE,
+    damaged,
+    live,
+    make_profiling_records,
+    oracle_client,
+    oracle_pool,
+)
 from sdag.backends import BackendConfig, ChatClient, build_client
 from sdag.errors import (
     CorruptProfileStore,
@@ -248,6 +255,57 @@ def test_run_profiling_transport_failure_grades_incorrect():
     store = run_profiling(two_model_pool(), three_records(), client)
     assert store.provenance["transport_failures"] == 6
     assert all(p.uniform_fallback for p in store.profiles.values())
+
+
+COT = (
+    "Can you solve the problem? {} Explain your reasoning. Your final answer should "
+    "be with the format: <<answer>>, at the end of your response."
+)
+
+
+def varied_records():
+    # Listed out of id order; p1's tie goes to the canonically first subject.
+    return [
+        QuestionRecord("p2", "How many legs has a spider?", ["6", "8", "10"], gold="B",
+                       subjects={B: 0.7, M: 0.3}),
+        QuestionRecord("p0", "What is 2+2?", ["4", "5"], gold="A", subjects={M: 0.6, P: 0.4}),
+        QuestionRecord("p1", "What falls faster in a vacuum?", ["feather", "hammer", "neither"],
+                       gold="C", subjects={P: 0.5, M: 0.5}),
+    ]
+
+
+def test_run_profiling_requests_are_pinned(monkeypatch):
+    sent = []
+    real = ChatClient.complete
+
+    def spy(client, req):
+        sent.append((req.backend, req.user, dict(req.metadata)))
+        return real(client, req)
+
+    monkeypatch.setattr(ChatClient, "complete", spy)
+    run_profiling(list(reversed(two_model_pool())), varied_records(), echo_mute_client())
+    questions = [
+        ("p0", "What is 2+2?\nA. 4\nB. 5", "A", "B", "Math"),
+        ("p1", "What falls faster in a vacuum?\nA. feather\nB. hammer\nC. neither",
+         "C", "A", "Math"),
+        ("p2", "How many legs has a spider?\nA. 6\nB. 8\nC. 10", "B", "A", "Biology"),
+    ]
+    assert sent == [
+        (backend, COT.format(block), {
+            "question_id": qid, "role": "profiling", "model_id": model_id,
+            "gold": gold, "wrong": wrong, "dominant_subject": dominant,
+        })
+        for model_id, backend in (("m-echo", "echo"), ("m-mute", "mute"))
+        for qid, block, gold, wrong, dominant in questions
+    ]
+
+
+def test_run_profiling_live_client_grades_like_mock_client():
+    simulated = run_profiling(two_model_pool(), varied_records(), echo_mute_client())
+    measured = run_profiling(two_model_pool(), varied_records(), live(echo_mute_client()))
+    assert measured.profiles == simulated.profiles
+    assert measured.provenance == simulated.provenance
+    assert not measured.profiles["m-echo"].uniform_fallback
 
 
 # -- persistence ------------------------------------------------------------

@@ -379,7 +379,9 @@ class ChatClient:
     """Uniform entry point over named backends; owns counting and bounds.
 
     Each backend has a gate that admits at most its `max_in_flight` calls at
-    once; a call that raises frees its slot like one that returns.
+    once; a call that raises frees its slot like one that returns. The
+    backend set is fixed at construction, and so is `all_simulated`, which
+    holds when every backend is simulated.
     """
 
     def __init__(self, backends: dict[str, "MockBackend | RemoteBackend"]):
@@ -388,10 +390,7 @@ class ChatClient:
         self.backends = backends
         self.counter = CallCounter()
         self._gates = {name: _Gate(b.config.max_in_flight) for name, b in backends.items()}
-
-    @property
-    def all_simulated(self) -> bool:
-        return all(b.simulated for b in self.backends.values())
+        self.all_simulated = all(b.simulated for b in backends.values())
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         backend = self.backends.get(req.backend)

@@ -9,6 +9,7 @@ fixed seed and a scripted annotator.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -175,45 +176,26 @@ def assign_splits(
     is drawn out of the test portion.
     """
     records = sorted(records, key=lambda r: r.id)
-    order = list(np.random.default_rng(cfg.seed).permutation(len(records)))
-    splits: dict[str, str] = {}
+    n = len(records)
+    order = np.random.default_rng(cfg.seed).permutation(n).tolist()
+    # Splits are consecutive runs of the shuffled order: profiling, train,
+    # test by default; train, profiling, test with profiling_from_test.
     if cfg.profiling_from_test:
-        n_train = int(round(len(order) * cfg.train_ratio))
-        train_part, test_part = order[:n_train], order[n_train:]
-        take = min(cfg.profiling_size, len(test_part))
-        if take < cfg.profiling_size:
-            logger.warning(
-                "profiling split truncated to %d (test portion has only %d records)",
-                take, len(test_part),
-            )
-        for pos in test_part[:take]:
-            splits[records[pos].id] = "profiling"
-        for pos in test_part[take:]:
-            splits[records[pos].id] = "test"
-        for pos in train_part:
-            splits[records[pos].id] = "train"
+        n_train = int(round(n * cfg.train_ratio))
+        available, where = n - n_train, "test portion"
+        take = min(cfg.profiling_size, available)
+        runs = ["train"] * n_train + ["profiling"] * take
     else:
-        take = min(cfg.profiling_size, len(order))
-        if take < cfg.profiling_size:
-            logger.warning(
-                "profiling split truncated to %d (dataset has only %d records)",
-                take, len(order),
-            )
-        profiling_part, rest = order[:take], order[take:]
-        n_train = int(round(len(rest) * cfg.train_ratio))
-        for pos in profiling_part:
-            splits[records[pos].id] = "profiling"
-        for pos in rest[:n_train]:
-            splits[records[pos].id] = "train"
-        for pos in rest[n_train:]:
-            splits[records[pos].id] = "test"
-    return [
-        QuestionRecord(
-            id=r.id, question=r.question, options=list(r.options), gold=r.gold,
-            subjects=r.subjects, split=splits[r.id],
+        available, where = n, "dataset"
+        take = min(cfg.profiling_size, available)
+        runs = ["profiling"] * take + ["train"] * int(round((n - take) * cfg.train_ratio))
+    if take < cfg.profiling_size:
+        logger.warning(
+            "profiling split truncated to %d (%s has only %d records)", take, where, available
         )
-        for r in records
-    ]
+    runs += ["test"] * (n - len(runs))
+    split_at = dict(zip(order, runs))
+    return [dataclasses.replace(r, split=split_at[i]) for i, r in enumerate(records)]
 
 
 def curate_dataset(
@@ -249,12 +231,7 @@ def curate_dataset(
             skipped.append((record.id, "single_subject"))
             continue
         check_weights(merged, finalized=True)
-        kept.append(
-            QuestionRecord(
-                id=record.id, question=record.question, options=list(record.options),
-                gold=record.gold, subjects=merged, split=None,
-            )
-        )
+        kept.append(dataclasses.replace(record, subjects=merged, split=None))
 
     kept = assign_splits(kept, cfg) if kept else []
     stats = {

@@ -29,7 +29,7 @@ from .errors import EmptySplit
 from .orchestrator import ExecutionTrace, execute_dag, execute_fcg, execute_single_cot
 from .profiling import ModelPoolEntry, ProfileStore, check_pool_backends, selection_map
 from .router.generation import GenerationConfig, generate_sdag
-from .subjects import SUBJECTS, QuestionRecord, build_ground_truth_dag, dominant_subject
+from .subjects import SUBJECTS, QuestionRecord, answer_key, build_ground_truth_dag
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +112,9 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _extra_metadata(record: QuestionRecord) -> dict:
-    extra = {"gold": record.gold, "wrong": record.wrong_label()}
-    if record.subjects:
-        extra["dominant_subject"] = dominant_subject(record.subjects).value
-    return extra
+# Looked up by name for every question, so a tracer can rebind it to mark
+# which question the calling thread is working on.
+_extra_metadata = answer_key
 
 
 def evaluate(

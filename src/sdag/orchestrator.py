@@ -313,8 +313,9 @@ def _call_node(client: ChatClient, node: _PlanNode,
     try:
         response = client.complete(request)
     except TransportError as exc:
-        logger.warning("node %s (%s) failed: %s", node.subject.value if node.subject else "-",
-                       node.model_id, exc)
+        logger.warning("node %s (%s) failed on question %r: %s",
+                       node.subject.value if node.subject else "-", node.model_id,
+                       metadata["question_id"], exc)
         reply, latency, attempts, failed = "", 0.0, exc.attempts, True
     else:
         reply, latency, attempts, failed = (

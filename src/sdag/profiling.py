@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import ChatClient, ChatRequest
-from .errors import CorruptProfileStore, EmptyPool, EmptySplit, TransportError, UnknownSubject
+from .backends import ChatClient
+from .errors import CorruptProfileStore, EmptyPool, EmptySplit, UnknownSubject
 from .fileio import (
     POOL_FIELDS,
     PROFILE_FIELDS,
@@ -26,17 +25,16 @@ from .fileio import (
     read_entry_list,
     read_versioned,
 )
+from .orchestrator import execute_single_cot
 from .subjects import (
     NUM_SUBJECTS,
     SUBJECTS,
     QuestionRecord,
     Subject,
     SubjectWeights,
-    dominant_subject,
+    answer_key,
     parse_subject,
 )
-
-logger = logging.getLogger(__name__)
 
 PROFILE_STORE_VERSION = 1
 
@@ -170,50 +168,34 @@ def run_profiling(
     client: ChatClient,
     seed: int = 0,
 ) -> ProfileStore:
-    """Grade every pool model on every profiling question and build profiles."""
-    from .orchestrator import extract_answer, render_single_cot_prompt
+    """Grade every pool model on every profiling question and build profiles.
 
+    Each question is one single-CoT call, answered correctly when the
+    extracted answer is the gold label; a transport failure grades it wrong.
+    """
     if not pool:
         raise EmptyPool("empty model pool")
     if not split:
         raise EmptySplit("empty profiling split")
     for record in split:
-        if record.subjects is None:
+        if not record.subjects:
             raise ValueError(f"record {record.id}: profiling needs finalized subjects")
     check_pool_backends(pool, client.backends)  # fail before the first call, as evaluate() does
 
     results: list[GradedResult] = []
-    calls = 0
     failures = 0
     for entry in sorted(pool, key=lambda e: e.model_id):
         for record in sorted(split, key=lambda r: r.id):
-            request = ChatRequest(
-                backend=entry.backend,
-                user=render_single_cot_prompt(record),
-                metadata={
-                    "question_id": record.id,
-                    "role": "profiling",
-                    "model_id": entry.model_id,
-                    "gold": record.gold,
-                    "wrong": record.wrong_label(),
-                    "dominant_subject": dominant_subject(record.subjects).value,
-                },
+            trace = execute_single_cot(
+                record, entry.model_id, entry.backend, client,
+                extra_metadata={"role": "profiling", "model_id": entry.model_id,
+                                **answer_key(record)},
             )
-            calls += 1
-            try:
-                reply = client.complete(request).text
-                correct = extract_answer(reply) == record.gold
-            except TransportError as exc:
-                logger.warning(
-                    "profiling %s on %s: %s (graded incorrect)",
-                    entry.model_id, record.id, exc,
-                )
-                failures += 1
-                correct = False
+            failures += trace.records[0].failed
             results.append(
                 GradedResult(
                     question_id=record.id, weights=record.subjects,
-                    model_id=entry.model_id, correct=correct,
+                    model_id=entry.model_id, correct=trace.final_answer == record.gold,
                 )
             )
 
@@ -226,7 +208,7 @@ def run_profiling(
         "dataset_hash": _dataset_hash(split),
         "questions": len(split),
         "models": len(pool),
-        "calls": calls,
+        "calls": len(results),
         "transport_failures": failures,
         "seed": seed,
     }

@@ -137,7 +137,11 @@ def loss_for_dag_output(
     params: RouterParams, h_q: Array, node_labels: Array, edge_labels: Array,
     config: LossConfig = LossConfig(),
 ) -> float:
-    """Objective value only, via the same forward path as training."""
+    """Objective value only, from `route()`'s probabilities.
+
+    This is the inference forward pass, not training's `ForwardTape`, so a
+    finite-difference check of `backward` runs through a separate path.
+    """
     return masked_bce_loss(route(params, h_q), node_labels, edge_labels, config)
 
 

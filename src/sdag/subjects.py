@@ -317,3 +317,12 @@ class QuestionRecord:
         return "\n".join(
             f"{OPTION_LABELS[i]}. {text}" for i, text in enumerate(self.options)
         )
+
+
+def answer_key(record: QuestionRecord) -> dict[str, str]:
+    """The request metadata a scripted mock answers from: the gold label, a
+    wrong label and, for an annotated record, its dominant subject."""
+    key = {"gold": record.gold, "wrong": record.wrong_label()}
+    if record.subjects:
+        key["dominant_subject"] = dominant_subject(record.subjects).value
+    return key

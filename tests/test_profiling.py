@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -250,11 +251,16 @@ class DownBackend:
         raise TransportError("down", attempts=3)
 
 
-def test_run_profiling_transport_failure_grades_incorrect():
+def test_run_profiling_transport_failure_grades_incorrect(caplog):
     client = ChatClient({"echo": DownBackend(), "mute": DownBackend()})
-    store = run_profiling(two_model_pool(), three_records(), client)
+    with caplog.at_level(logging.WARNING, logger="sdag.orchestrator"):
+        store = run_profiling(two_model_pool(), three_records(), client)
     assert store.provenance["transport_failures"] == 6
     assert all(p.uniform_fallback for p in store.profiles.values())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"node - ({model_id}) failed on question 'p{i}': down"
+        for model_id in ("m-echo", "m-mute") for i in range(3)
+    ]
 
 
 COT = (

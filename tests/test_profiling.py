@@ -230,6 +230,11 @@ def test_run_profiling_requires_subjects():
     record = QuestionRecord(id="p0", question="q", options=["1", "2"], gold="A")
     with pytest.raises(ValueError):
         run_profiling(two_model_pool(), [record], echo_mute_client())
+    empty = dataclasses.replace(three_records()[0], id="p9", subjects={})
+    client = echo_mute_client()
+    with pytest.raises(ValueError, match="p9: profiling needs finalized subjects"):
+        run_profiling(two_model_pool(), three_records() + [empty], client)
+    assert client.counter.total == 0
 
 
 def test_run_profiling_unknown_backend_fails_before_any_call():

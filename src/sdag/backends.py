@@ -172,6 +172,9 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
 def _render_reply(template: str, metadata: dict) -> str:
+    if "{" not in template:
+        return template
+
     def sub(m: re.Match) -> str:
         key = m.group(1)
         return str(metadata[key]) if key in metadata else m.group(0)
@@ -181,15 +184,9 @@ def _render_reply(template: str, metadata: dict) -> str:
 
 def _simulated_latency(seed: int, backend: str, req: ChatRequest, lo: float, hi: float) -> float:
     meta = req.metadata
-    key = "\x1f".join(
-        [
-            str(seed),
-            backend,
-            req.user,
-            str(meta.get("question_id", "")),
-            str(meta.get("subject", "")),
-            str(meta.get("role", "")),
-        ]
+    key = (
+        f"{seed!s}\x1f{backend}\x1f{req.user}\x1f{meta.get('question_id', '')!s}"
+        f"\x1f{meta.get('subject', '')!s}\x1f{meta.get('role', '')!s}"
     )
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     frac = int.from_bytes(digest[:8], "big") / 2.0**64

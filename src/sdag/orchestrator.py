@@ -7,14 +7,15 @@ highest-scoring sink's reply. The fully-connected two-round baseline and the
 single-model CoT baseline run through the same plan runner, as graphs of
 dependent agent calls.
 
-The runner has two schedules. When every backend is simulated, nodes run one
-after another in plan order on the caller's thread: plan order is
-topological, mock replies and latencies are pure functions of the request,
-and start times come from the dependencies' simulated finish times, so the
-trace is the one a concurrent run would give. Each inline node yields a
-completed-result handle rather than a Future, so this path takes no lock.
-With any live backend, every node gets a thread of its own and nodes with
-satisfied dependencies run concurrently.
+The runner has two schedules, and one function makes a node's call under
+both. When every backend is simulated, nodes run in a plain loop in plan
+order on the caller's thread, each over its dependencies' finished trace
+records: plan order is topological, mock replies and latencies are pure
+functions of the request, and start times come from the dependencies'
+simulated finish times, so the trace is the one a concurrent run would give.
+With any live backend, a plan of several nodes gives every node a thread of
+its own, so nodes with satisfied dependencies run concurrently; a one-node
+plan runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import NamedTuple
 
 from .backends import ChatClient, ChatRequest
 from .errors import RoleInputMismatch, TransportError
 from .fileio import atomic_writer
-from .subjects import QuestionRecord, SDag, SDagNode, Subject
+from .subjects import SUBJECTS, QuestionRecord, SDag, SDagNode, Subject
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,13 @@ class AgentRole(enum.Enum):
     SUBJECT_EXPERT = "SubjectExpert"
     SUPPORTING = "Supporting"
     DOMINANT = "Dominant"
+
+
+# Reading an Enum member through its class, or its `.value`, runs Python-level
+# code on every access (3.11); the prompt path reads these instead.
+_EXPERT, _SUPPORTING, _DOMINANT = AgentRole
+_ROLE_NAME = {r: r.value for r in AgentRole}
+_NAME = {s: s.value for s in SUBJECTS}
 
 
 SUBJECT_EXPERT_PROMPT = (
@@ -97,11 +104,11 @@ def assign_roles(g: SDag) -> dict[Subject, AgentRole]:
     for node in g.nodes:
         s = node.subject
         if g.out_degree(s) == 0:
-            roles[s] = AgentRole.DOMINANT
+            roles[s] = _DOMINANT
         elif g.in_degree(s) == 0:
-            roles[s] = AgentRole.SUBJECT_EXPERT
+            roles[s] = _EXPERT
         else:
-            roles[s] = AgentRole.SUPPORTING
+            roles[s] = _SUPPORTING
     return roles
 
 
@@ -122,29 +129,28 @@ def render_prompt(
     pass append_answer_format to override (the executor forces it on for the
     final node even when that node renders as a subject expert).
     """
-    if role is AgentRole.SUBJECT_EXPERT and upstream:
-        raise RoleInputMismatch(f"{subject.value}: subject expert got upstream content")
-    if role is not AgentRole.SUBJECT_EXPERT and not upstream:
-        raise RoleInputMismatch(f"{subject.value}: {role.value} role needs upstream content")
-
-    upstream = _canonical_upstream(upstream)
-    if role is AgentRole.SUBJECT_EXPERT:
-        text = SUBJECT_EXPERT_PROMPT.format(subject=subject.value, Q=question)
-    elif role is AgentRole.SUPPORTING:
-        sources = ", ".join(s.value for s, _ in upstream)
-        support_lines = "\n".join(
-            f"Supporting Information from {s.value}: {content}" for s, content in upstream
-        )
-        text = SUPPORTING_PROMPT.format(
-            subject=subject.value, Q=question, sources=sources, support_lines=support_lines
-        )
+    name = _NAME[subject]
+    if role is _EXPERT:
+        if upstream:
+            raise RoleInputMismatch(f"{name}: subject expert got upstream content")
+        text = SUBJECT_EXPERT_PROMPT.format(subject=name, Q=question)
+    elif not upstream:
+        raise RoleInputMismatch(f"{name}: {_ROLE_NAME[role]} role needs upstream content")
     else:
-        expert_lines = "\n".join(f"- {s.value}: {content}" for s, content in upstream)
-        text = DOMINANT_PROMPT.format(
-            subject=subject.value, Q=question, expert_lines=expert_lines
-        )
+        upstream = [(_NAME[s], content) for s, content in _canonical_upstream(upstream)]
+        if role is _SUPPORTING:
+            sources = ", ".join([source for source, _ in upstream])
+            support_lines = "\n".join(
+                [f"Supporting Information from {source}: {content}" for source, content in upstream]
+            )
+            text = SUPPORTING_PROMPT.format(
+                subject=name, Q=question, sources=sources, support_lines=support_lines
+            )
+        else:
+            expert_lines = "\n".join([f"- {source}: {content}" for source, content in upstream])
+            text = DOMINANT_PROMPT.format(subject=name, Q=question, expert_lines=expert_lines)
     if append_answer_format is None:
-        append_answer_format = role is AgentRole.DOMINANT
+        append_answer_format = role is _DOMINANT
     if append_answer_format:
         text += "\n" + ANSWER_FORMAT_LINE
     return text
@@ -189,7 +195,7 @@ def extract_answer(reply: str) -> str | None:
 # -- traces -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     subject: str
     role: str
@@ -264,65 +270,61 @@ def _question_id(question: QuestionRecord | str) -> str:
 # -- execution plans --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PlanNode:
+class _PlanNode(NamedTuple):
     """One agent call: who answers, what it waits for, how its prompt reads.
 
-    `deps` index earlier nodes of the same plan; `render` turns their
-    (subject, contribution) pairs, in `deps` order, into the prompt.
+    `name` is the subject's name ("" for none) and `role` the trace label,
+    both computed when the plan is built. `deps` index earlier nodes of the
+    same plan. The prompt renders `template` for the subject over `text` (the
+    question block), quoting the replies of the dependencies that answer for
+    another subject (an fcg revision does not quote its own first answer),
+    with `final` as render_prompt's append_answer_format. A node with no
+    template sends `text` as its whole prompt.
     """
 
     subject: Subject | None
+    name: str
     role: str
     round: int
     model_id: str
     backend: str
     deps: tuple[int, ...]
-    render: Callable[[list[tuple[Subject, str]]], str]
+    template: AgentRole | None
+    text: str
+    final: bool | None = None
 
 
-class _Done:
-    """The finished record of an inline call, read like a Future's result."""
-
-    __slots__ = ("_record",)
-
-    def __init__(self, record: TraceRecord):
-        self._record = record
-
-    def result(self) -> TraceRecord:
-        return self._record
-
-
-def _call_node(client: ChatClient, node: _PlanNode,
-               upstream: list[tuple[Subject, Future | _Done]],
+def _call_node(client: ChatClient, node: _PlanNode, done: list[tuple[Subject, TraceRecord]],
                metadata: dict, t0: float | None) -> TraceRecord:
-    """Wait for the dependencies, then make the node's one call.
+    """Make the node's one call over its dependencies' finished records.
 
     The node starts when its last dependency finishes (simulated time) or
     when it actually starts (measured time, t0 set). Transport failures and
     timeouts become a failed record that contributes UNAVAILABLE downstream;
     every other error is a misconfiguration and propagates.
     """
-    done = [(s, f.result()) for s, f in upstream]
-    prompt = node.render([(s, UNAVAILABLE if r.failed else r.reply) for s, r in done])
+    if node.template is None:
+        prompt = node.text
+    else:
+        subject = node.subject
+        upstream = [(s, UNAVAILABLE if r.failed else r.reply) for s, r in done if s is not subject]
+        prompt = render_prompt(node.template, subject, node.text, upstream, node.final)
     if t0 is None:
-        start = max((r.sim_finish for _, r in done), default=0.0)
+        start = max([r.sim_finish for _, r in done], default=0.0)
     else:
         start = time.monotonic() - t0
-    request = ChatRequest(backend=node.backend, user=prompt, metadata=metadata)
     try:
-        response = client.complete(request)
+        response = client.complete(ChatRequest(node.backend, prompt, metadata))
     except TransportError as exc:
         logger.warning("node %s (%s) failed on question %r: %s",
-                       node.subject.value if node.subject else "-", node.model_id,
-                       metadata["question_id"], exc)
+                       node.name or "-", node.model_id, metadata["question_id"], exc)
         reply, latency, attempts, failed = "", 0.0, exc.attempts, True
     else:
         reply, latency, attempts, failed = (
             response.text, response.latency, response.attempts, False
         )
     return TraceRecord(
-        subject=node.subject.value if node.subject else "",
+        subject=node.name,
         role=node.role,
         model_id=node.model_id,
         backend=node.backend,
@@ -337,44 +339,53 @@ def _call_node(client: ChatClient, node: _PlanNode,
     )
 
 
-class _InlineExecutor(Executor):
-    """Runs each submitted call at once on the caller's thread."""
-
-    def submit(self, fn, *args) -> _Done:
-        return _Done(fn(*args))
+def _await_and_call(client: ChatClient, node: _PlanNode,
+                    upstream: list[tuple[Subject, Future]], metadata: dict,
+                    t0: float) -> TraceRecord:
+    """A live node's thread: wait for every dependency, then make the call."""
+    return _call_node(client, node, [(s, f.result()) for s, f in upstream], metadata, t0)
 
 
 def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRecord | str,
               client: ChatClient, extra_metadata: dict | None) -> ExecutionTrace:
     """Run every plan node once after its dependencies; answer from plan[final].
 
-    Simulated clients run the nodes inline, in plan order: plan order is
+    Simulated clients, and live ones on a one-node plan, run the nodes in a
+    plain loop in plan order on the caller's thread: plan order is
     topological and mocks are pure functions of the request, so each node's
     dependencies have finished and the trace matches a concurrent run. The
     first node that raises ends the plan, and later nodes make no call.
 
-    Live clients get one thread per node, with nodes submitted in plan order,
-    so a worker only ever blocks on dependencies that already hold threads of
-    their own. When a node raises, its dependents never call, while calls
-    already in flight on the other nodes still finish before the error
-    propagates.
+    Live clients on a plan of several nodes get one thread per node, with
+    nodes submitted in plan order, so a worker only ever blocks on
+    dependencies that already hold threads of their own. When a node raises,
+    its dependents never call, while calls already in flight on the other
+    nodes still finish before the error propagates.
     """
-    unknown = sorted({n.backend for n in plan} - set(client.backends))
+    unknown = [n.backend for n in plan if n.backend not in client.backends]
     if unknown:
-        raise ValueError(f"unknown backend: {unknown}")
+        raise ValueError(f"unknown backend: {sorted(set(unknown))}")
     q_id = _question_id(question)
     extra = extra_metadata or {}
+    metadata = [
+        {"question_id": q_id, "subject": n.name, "role": n.role, **extra} if n.name
+        else {"question_id": q_id, "role": n.role, **extra}
+        for n in plan
+    ]
     simulated = client.all_simulated
     t0 = None if simulated else time.monotonic()
-    executor = _InlineExecutor() if simulated else ThreadPoolExecutor(max_workers=len(plan))
-    with executor:
-        futures: list[Future | _Done] = []
-        for node in plan:
-            subject = {} if node.subject is None else {"subject": node.subject.value}
-            metadata = {"question_id": q_id, **subject, "role": node.role, **extra}
-            upstream = [(plan[i].subject, futures[i]) for i in node.deps]
-            futures.append(executor.submit(_call_node, client, node, upstream, metadata, t0))
-        records = [f.result() for f in futures]
+    if simulated or len(plan) == 1:
+        records: list[TraceRecord] = []
+        for node, meta in zip(plan, metadata):
+            done = [(plan[i].subject, records[i]) for i in node.deps]
+            records.append(_call_node(client, node, done, meta, t0))
+    else:
+        with ThreadPoolExecutor(max_workers=len(plan)) as pool:
+            futures: list[Future] = []
+            for node, meta in zip(plan, metadata):
+                upstream = [(plan[i].subject, futures[i]) for i in node.deps]
+                futures.append(pool.submit(_await_and_call, client, node, upstream, meta, t0))
+            records = [f.result() for f in futures]
     answer = records[final]
     return ExecutionTrace(
         mode=mode,
@@ -396,16 +407,9 @@ def _resolve_backend(selection: dict[Subject, str], pool_backends: dict[str, str
     return model_id, backend
 
 
-def _render_revision(role: AgentRole, subject: Subject, question: str, is_final: bool,
-                     round_one: list[tuple[Subject, str]]) -> str:
-    """fcg round-2 prompt: the node's own round-1 reply is not among its peers."""
-    peers = [(s, content) for s, content in round_one if s != subject]
-    return render_prompt(role, subject, question, peers, append_answer_format=is_final)
-
-
 def pick_final_node(g: SDag, roles: dict[Subject, AgentRole]) -> Subject:
     """The answering sink: highest relevance among dominants, canonical ties."""
-    dominants = [n for n in g.nodes if roles[n.subject] is AgentRole.DOMINANT]
+    dominants = [n for n in g.nodes if roles[n.subject] is _DOMINANT]
     best = max(dominants, key=lambda n: (n.score, -n.subject.index))
     return best.subject
 
@@ -430,11 +434,10 @@ def execute_dag(
     plan = []
     for s in order:
         deps = tuple(position[d] for d in g.in_neighbors(s))
-        template = roles[s] if deps else AgentRole.SUBJECT_EXPERT
-        render = partial(render_prompt, template, s, q_text,
-                         append_answer_format=True if s == final_subject else None)
         model_id, backend = _resolve_backend(selection, pool_backends, s)
-        plan.append(_PlanNode(s, roles[s].value, 0, model_id, backend, deps, render))
+        plan.append(_PlanNode(s, _NAME[s], _ROLE_NAME[roles[s]], 0, model_id, backend, deps,
+                              roles[s] if deps else _EXPERT, q_text,
+                              True if s is final_subject else None))
     return _run_plan("sdag", plan, position[final_subject], question, client, extra_metadata)
 
 
@@ -462,19 +465,18 @@ def execute_fcg(
         raise ValueError(f"selection covers no model for: {missing}")
     final_subject = max(nodes, key=lambda n: (n.score, -n.subject.index)).subject
     q_text = question_block(question)
-    expert = AgentRole.SUBJECT_EXPERT
     # A single-agent graph has no peers: its revision repeats the expert template.
-    reviser = AgentRole.SUPPORTING if len(subjects) > 1 else expert
-    resolved = [_resolve_backend(selection, pool_backends, s) for s in subjects]
+    reviser = _SUPPORTING if len(subjects) > 1 else _EXPERT
+    expert_role, reviser_role = _ROLE_NAME[_EXPERT], _ROLE_NAME[reviser]
+    resolved = [(s, _NAME[s], *_resolve_backend(selection, pool_backends, s)) for s in subjects]
     round_one = tuple(range(len(subjects)))
     plan = [
-        _PlanNode(s, expert.value, 1, model_id, backend, (),
-                  partial(render_prompt, expert, s, q_text))
-        for s, (model_id, backend) in zip(subjects, resolved)
+        _PlanNode(s, name, expert_role, 1, model_id, backend, (), _EXPERT, q_text)
+        for s, name, model_id, backend in resolved
     ] + [
-        _PlanNode(s, reviser.value, 2, model_id, backend, round_one,
-                  partial(_render_revision, reviser, s, q_text, s == final_subject))
-        for s, (model_id, backend) in zip(subjects, resolved)
+        _PlanNode(s, name, reviser_role, 2, model_id, backend, round_one, reviser, q_text,
+                  s is final_subject)
+        for s, name, model_id, backend in resolved
     ]
     final = len(subjects) + subjects.index(final_subject)
     return _run_plan("fcg", plan, final, question, client, extra_metadata)
@@ -489,5 +491,5 @@ def execute_single_cot(
 ) -> ExecutionTrace:
     """One chain-of-thought call with the baseline prompt."""
     prompt = render_single_cot_prompt(question)
-    plan = [_PlanNode(None, "SingleCoT", 0, model_id, backend, (), lambda _: prompt)]
+    plan = [_PlanNode(None, "", "SingleCoT", 0, model_id, backend, (), None, prompt)]
     return _run_plan("single_cot", plan, 0, question, client, extra_metadata)

@@ -1,5 +1,6 @@
 """Chat backends: scripted mocks, remote retry/auth behavior, call counting."""
 
+import hashlib
 import json
 import os
 import socket
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdag.backends import (
     BackendConfig,
@@ -21,6 +24,8 @@ from sdag.backends import (
     RemoteBackend,
     build_client,
     load_backend_configs,
+    _render_reply,
+    _simulated_latency,
     mock_complete,
     parse_rules,
 )
@@ -189,6 +194,52 @@ def test_mock_latency_ignores_scheduling_order():
     forward = [backend.complete(r).latency for r in reqs]
     backward = [backend.complete(r).latency for r in reversed(reqs)]
     assert forward == list(reversed(backward))
+
+
+def list_join_latency(seed, backend, req, lo, hi):
+    """The simulated latency as first written: the key is a list of six
+    strings joined with the unit separator."""
+    meta = req.metadata
+    key = "\x1f".join(
+        [
+            str(seed),
+            backend,
+            req.user,
+            str(meta.get("question_id", "")),
+            str(meta.get("subject", "")),
+            str(meta.get("role", "")),
+        ]
+    )
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    frac = int.from_bytes(digest[:8], "big") / 2.0**64
+    return (lo + frac * (hi - lo)) / 1000.0
+
+
+KEY_VALUE = st.one_of(st.text(max_size=12), st.integers())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(),
+    backend=st.text(min_size=1, max_size=12),
+    user=st.text(max_size=40),
+    metadata=st.fixed_dictionaries(
+        {}, optional={"question_id": KEY_VALUE, "subject": KEY_VALUE, "role": KEY_VALUE,
+                      "gold": KEY_VALUE}
+    ),
+    bounds=st.tuples(st.floats(0, 1000), st.floats(0, 1000)).map(sorted),
+)
+def test_simulated_latency_key_matches_list_join(seed, backend, user, metadata, bounds):
+    req = ChatRequest(backend=backend, user=user, metadata=metadata)
+    lo, hi = bounds
+    assert _simulated_latency(seed, backend, req, lo, hi) == list_join_latency(
+        seed, backend, req, lo, hi
+    )
+
+
+def test_reply_without_placeholder_is_returned_as_is():
+    assert _render_reply("plain <<A>>", {"gold": "B"}) == "plain <<A>>"
+    assert _render_reply("<<{gold}>> {missing}", {"gold": "B"}) == "<<B>> {missing}"
 
 
 # -- remote backend ---------------------------------------------------------

@@ -3,12 +3,14 @@
 import json
 import re
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdag.orchestrator
+from conftest import live
 from sdag.backends import BackendConfig, ChatClient, ChatResponse, MockBackend, build_client
 from sdag.errors import AuthError, NoRuleMatched, RoleInputMismatch, TransportError
 from sdag.orchestrator import (
@@ -410,7 +412,7 @@ def test_live_fcg_round_one_runs_concurrently():
 
 def test_simulated_plans_build_no_thread_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a simulated plan built a thread pool")
+        raise AssertionError("a simulated or one-node plan built a thread pool")
 
     monkeypatch.setattr(sdag.orchestrator, "ThreadPoolExecutor", no_pool)
     selection, backends = pool_for([M, P, B])
@@ -418,6 +420,12 @@ def test_simulated_plans_build_no_thread_pool(monkeypatch):
     nodes = list(diamond_dag().nodes)
     assert execute_fcg(nodes, "Q?", selection, backends, echo_client()).llm_calls == 6
     assert execute_single_cot("Q?", "model-x", "echo", echo_client()).llm_calls == 1
+    # A one-node live plan runs on the caller's thread too.
+    trace = execute_single_cot("Q?", "model-x", "echo", live(echo_client()))
+    assert trace.llm_calls == 1 and not trace.simulated
+    single = SDag(nodes=[SDagNode(M, 1.0)], edges=[])
+    trace = execute_dag(single, "Q?", selection, backends, live(echo_client()))
+    assert trace.llm_calls == 1 and not trace.simulated
 
 
 def test_execute_dag_missing_selection():
@@ -574,3 +582,37 @@ def test_execute_dag_properties(g):
             (by_subject[p.value].sim_finish for p in preds), default=0.0
         )
     assert trace.wall_time == max(r.sim_finish for r in trace.records)
+
+
+SCHEDULED_FIELDS = ("subject", "role", "round", "model_id", "backend", "prompt", "reply",
+                    "attempts", "failed")
+
+
+def schedule_view(trace):
+    """What a trace must keep whichever schedule ran it (times aside)."""
+    records = [tuple(getattr(r, f) for f in SCHEDULED_FIELDS) for r in trace.records]
+    return records, trace.final_answer, trace.final_subject, trace.llm_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=random_dags(), data=st.data())
+def test_inline_schedule_matches_threaded_schedule(g, data):
+    """Plans over simulated mocks run inline; over the same mocks reporting
+    themselves live, on one thread per node. Both give the same trace, failed
+    nodes included."""
+    subjects = g.subjects()
+    dead = data.draw(st.sets(st.sampled_from(subjects)))
+    selection, backends = pool_for(subjects)
+    for s in dead:
+        backends[selection[s]] = "dead"
+
+    def client():
+        echo = BackendConfig(name="echo", kind="mock",
+                             script=[{"reply": "{subject} as {role}: <<A>>"}])
+        return ChatClient({"echo": MockBackend(echo), "dead": DeadBackend()})
+
+    for run in (partial(execute_dag, g), partial(execute_fcg, list(g.nodes))):
+        inline = run("Q?", selection, backends, client())
+        threaded = run("Q?", selection, backends, live(client()))
+        assert inline.simulated and not threaded.simulated
+        assert schedule_view(threaded) == schedule_view(inline)

@@ -43,7 +43,7 @@ TEMPERATURE = 0.7
 MAX_TOKENS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChatRequest:
     """One chat call: backend name, the user message, trace metadata.
 
@@ -59,7 +59,7 @@ class ChatRequest:
             raise ValueError("backend name is required")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChatResponse:
     text: str
     latency: float
@@ -119,12 +119,17 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class MockRule:
-    """One script entry: its reply template, and the predicate on a request
-    that `parse_rules` compiled from its matcher. First match in file order wins.
+    """One script entry as `parse_rules` compiled it: its matcher's predicate,
+    and its reply split into the text before the first placeholder and a
+    (field, placeholder, text after it) triple per placeholder.
     """
 
-    reply: str
     matches: Callable[[ChatRequest], bool]
+    head: str
+    fields: tuple[tuple[str, str, str], ...]
+
+
+_PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
 def parse_rules(raw: list) -> list[MockRule]:
@@ -132,7 +137,9 @@ def parse_rules(raw: list) -> list[MockRule]:
     rules = []
     for i, entry in enumerate(raw):
         check_fields(f"mock rule {i}", entry, RULE_FIELDS)
-        rules.append(MockRule(entry["reply"], _matcher(f"mock rule {i}", entry.get("match"))))
+        head, *rest = _PLACEHOLDER_RE.split(entry["reply"])
+        fields = tuple((key, f"{{{key}}}", tail) for key, tail in zip(rest[::2], rest[1::2]))
+        rules.append(MockRule(_matcher(f"mock rule {i}", entry.get("match")), head, fields))
     return rules
 
 
@@ -168,20 +175,6 @@ def _matcher(where: str, match) -> Callable[[ChatRequest], bool]:
     return lambda req: (v := req.metadata.get(key)) is not None and str(v) == expected
 
 
-_PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
-
-
-def _render_reply(template: str, metadata: dict) -> str:
-    if "{" not in template:
-        return template
-
-    def sub(m: re.Match) -> str:
-        key = m.group(1)
-        return str(metadata[key]) if key in metadata else m.group(0)
-
-    return _PLACEHOLDER_RE.sub(sub, template)
-
-
 def _simulated_latency(seed: int, backend: str, req: ChatRequest, lo: float, hi: float) -> float:
     meta = req.metadata
     key = (
@@ -195,12 +188,16 @@ def _simulated_latency(seed: int, backend: str, req: ChatRequest, lo: float, hi:
 
 def mock_complete(script: list[MockRule], req: ChatRequest, *, seed: int = 0,
                   latency_ms: tuple[float, float] = (5.0, 50.0)) -> ChatResponse:
-    """Deterministic scripted completion; first matching rule wins."""
+    """Deterministic scripted completion; first matching rule wins. A reply
+    placeholder whose field the request's metadata lacks stays as written."""
     for rule in script:
         if rule.matches(req):
-            text = _render_reply(rule.reply, req.metadata)
+            text = rule.head
+            metadata = req.metadata
+            for key, placeholder, tail in rule.fields:
+                text = f"{text}{metadata.get(key, placeholder)!s}{tail}"
             latency = _simulated_latency(seed, req.backend, req, *latency_ms)
-            return ChatResponse(text=text, latency=latency, attempts=1, backend=req.backend)
+            return ChatResponse(text, latency, 1, req.backend)
     raise NoRuleMatched(f"backend {req.backend!r}: no rule matched and no default")
 
 
@@ -349,36 +346,15 @@ class CallCounter:
             self.total += 1
 
 
-class _Gate:
-    """Admits at most `slots` holders at once.
-
-    The free slots are tokens in a queue.SimpleQueue: entering takes one,
-    waiting in C with the GIL released while none is free, and leaving puts
-    it back. A threading.Semaphore would run a Python-level Condition on
-    every call.
-    """
-
-    __slots__ = ("_tokens",)
-
-    def __init__(self, slots: int):
-        self._tokens = queue.SimpleQueue()
-        for _ in range(slots):
-            self._tokens.put(None)
-
-    def __enter__(self) -> None:
-        self._tokens.get()
-
-    def __exit__(self, *exc) -> None:
-        self._tokens.put(None)
-
-
 class ChatClient:
     """Uniform entry point over named backends; owns counting and bounds.
 
-    Each backend has a gate that admits at most its `max_in_flight` calls at
-    once; a call that raises frees its slot like one that returns. The
-    backend set is fixed at construction, and so is `all_simulated`, which
-    holds when every backend is simulated.
+    Each backend admits at most its `max_in_flight` calls at once: its free
+    slots are tokens in a queue.SimpleQueue, and a call takes one, waiting in
+    C with the GIL released while none is free (a threading.Semaphore would
+    run a Python-level Condition on every call), and puts it back when it
+    returns or raises. The backend set is fixed at construction, and so is
+    `all_simulated`, which holds when every backend is simulated.
     """
 
     def __init__(self, backends: dict[str, "MockBackend | RemoteBackend"]):
@@ -386,7 +362,11 @@ class ChatClient:
             raise ValueError("at least one backend is required")
         self.backends = backends
         self.counter = CallCounter()
-        self._gates = {name: _Gate(b.config.max_in_flight) for name, b in backends.items()}
+        self._slots: dict[str, queue.SimpleQueue] = {}
+        for name, b in backends.items():
+            self._slots[name] = slots = queue.SimpleQueue()
+            for _ in range(b.config.max_in_flight):
+                slots.put(None)
         self.all_simulated = all(b.simulated for b in backends.values())
 
     def complete(self, req: ChatRequest) -> ChatResponse:
@@ -394,8 +374,12 @@ class ChatClient:
         if backend is None:
             raise ValueError(f"unknown backend: {req.backend!r}")
         self.counter.increment()
-        with self._gates[req.backend]:
+        slots = self._slots[req.backend]
+        slots.get()
+        try:
             return backend.complete(req)
+        finally:
+            slots.put(None)
 
 
 def load_backend_configs(path: str | Path) -> list[BackendConfig]:

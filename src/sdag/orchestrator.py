@@ -24,6 +24,7 @@ import enum
 import json
 import logging
 import re
+import string
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ class AgentRole(enum.Enum):
 _EXPERT, _SUPPORTING, _DOMINANT = AgentRole
 _ROLE_NAME = {r: r.value for r in AgentRole}
 _NAME = {s: s.value for s in SUBJECTS}
+_INDEX = {s: s.index for s in SUBJECTS}
 
 
 SUBJECT_EXPERT_PROMPT = (
@@ -91,6 +93,28 @@ ANSWER_FORMAT_LINE = (
 UNAVAILABLE = "[unavailable]"
 
 
+def _literals(template: str, fields: tuple[str, ...]) -> tuple[str, ...]:
+    """The text around a `str.format` template's plain fields, which must be
+    `fields` in order; interleaved with the values, it reads as `.format` would."""
+    literals, names, text = [], [], ""
+    for literal, name, spec, conversion in string.Formatter().parse(template):
+        text += literal
+        if name is not None:
+            literals.append(text)
+            names.append(None if spec or conversion else name)
+            text = ""
+    if tuple(names) != fields:
+        raise ValueError(f"template fields are {names}, not {list(fields)}")
+    return (*literals, text)
+
+
+_EXPERT_TEXT = _literals(SUBJECT_EXPERT_PROMPT, ("subject", "Q", "subject"))
+_SUPPORTING_TEXT = _literals(SUPPORTING_PROMPT,
+                             ("subject", "sources", "Q", "support_lines", "subject"))
+_DOMINANT_TEXT = _literals(DOMINANT_PROMPT, ("subject", "Q", "expert_lines"))
+_ANSWER_FORMAT_TAIL = "\n" + ANSWER_FORMAT_LINE
+
+
 def question_block(question: QuestionRecord | str) -> str:
     """Question text as agents see it: stem plus lettered options."""
     if isinstance(question, QuestionRecord):
@@ -113,7 +137,7 @@ def assign_roles(g: SDag) -> dict[Subject, AgentRole]:
 
 
 def _canonical_upstream(upstream: list[tuple[Subject, str]]) -> list[tuple[Subject, str]]:
-    return sorted(upstream, key=lambda pair: pair[0].index)
+    return sorted(upstream, key=lambda pair: _INDEX[pair[0]])
 
 
 def render_prompt(
@@ -133,7 +157,8 @@ def render_prompt(
     if role is _EXPERT:
         if upstream:
             raise RoleInputMismatch(f"{name}: subject expert got upstream content")
-        text = SUBJECT_EXPERT_PROMPT.format(subject=name, Q=question)
+        a, b, c, d = _EXPERT_TEXT
+        text = f"{a}{name}{b}{question}{c}{name}{d}"
     elif not upstream:
         raise RoleInputMismatch(f"{name}: {_ROLE_NAME[role]} role needs upstream content")
     else:
@@ -143,16 +168,16 @@ def render_prompt(
             support_lines = "\n".join(
                 [f"Supporting Information from {source}: {content}" for source, content in upstream]
             )
-            text = SUPPORTING_PROMPT.format(
-                subject=name, Q=question, sources=sources, support_lines=support_lines
-            )
+            a, b, c, d, e, f = _SUPPORTING_TEXT
+            text = f"{a}{name}{b}{sources}{c}{question}{d}{support_lines}{e}{name}{f}"
         else:
             expert_lines = "\n".join([f"- {source}: {content}" for source, content in upstream])
-            text = DOMINANT_PROMPT.format(subject=name, Q=question, expert_lines=expert_lines)
+            a, b, c, d = _DOMINANT_TEXT
+            text = f"{a}{name}{b}{question}{c}{expert_lines}{d}"
     if append_answer_format is None:
         append_answer_format = role is _DOMINANT
     if append_answer_format:
-        text += "\n" + ANSWER_FORMAT_LINE
+        text += _ANSWER_FORMAT_TAIL
     return text
 
 
@@ -323,20 +348,9 @@ def _call_node(client: ChatClient, node: _PlanNode, done: list[tuple[Subject, Tr
         reply, latency, attempts, failed = (
             response.text, response.latency, response.attempts, False
         )
-    return TraceRecord(
-        subject=node.name,
-        role=node.role,
-        model_id=node.model_id,
-        backend=node.backend,
-        prompt=prompt,
-        reply=reply,
-        latency=latency,
-        attempts=attempts,
-        failed=failed,
-        round=node.round,
-        sim_start=start,
-        sim_finish=start + latency if t0 is None else time.monotonic() - t0,
-    )
+    return TraceRecord(node.name, node.role, node.model_id, node.backend, prompt, reply,
+                       latency, attempts, failed, node.round, start,
+                       start + latency if t0 is None else time.monotonic() - t0)
 
 
 def _await_and_call(client: ChatClient, node: _PlanNode,

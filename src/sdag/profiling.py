@@ -139,15 +139,23 @@ class ProfileStore:
 
 def select_model(subject: Subject, store: ProfileStore) -> str:
     """Best model for a subject: argmax normalized score, ties by model_id."""
-    if not store.profiles:
-        raise EmptyPool("no profiles to select from")
-    return min(
-        store.profiles.values(), key=lambda p: (-p.normalized[subject], p.model_id)
-    ).model_id
+    return selection_map([subject], store)[subject]
 
 
 def selection_map(subjects: list[Subject], store: ProfileStore) -> dict[Subject, str]:
-    return {s: select_model(s, store) for s in subjects}
+    """`select_model` for each subject, over the profiles sorted by model_id
+    once: each subject takes the first model with its highest score."""
+    if not subjects:
+        return {}
+    if not store.profiles:
+        raise EmptyPool("no profiles to select from")
+    profiles = sorted(store.profiles.values(), key=lambda p: p.model_id)
+    rows = [p.normalized for p in profiles]
+    selection = {}
+    for s in subjects:
+        column = [row[s] for row in rows]
+        selection[s] = profiles[column.index(max(column))].model_id
+    return selection
 
 
 def check_pool_backends(pool: list[ModelPoolEntry], known: Iterable[str]) -> None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from sdag.backends import (
     RemoteBackend,
     build_client,
     load_backend_configs,
-    _render_reply,
     _simulated_latency,
     mock_complete,
     parse_rules,
@@ -48,6 +48,20 @@ def test_chat_response_validation():
         ChatResponse(text="x", latency=-1.0, attempts=1, backend="b")
     with pytest.raises(ValueError):
         ChatResponse(text="x", latency=0.0, attempts=0, backend="b")
+
+
+def test_chat_records_compare_by_value():
+    assert ChatResponse("x", 0.5, 1, "b") == ChatResponse(
+        text="x", latency=0.5, attempts=1, backend="b"
+    )
+    assert ChatResponse("x", 0.5, 1, "b") != ChatResponse("x", 0.5, 2, "b")
+    assert ChatRequest("b", "u", {"gold": "A"}) == ChatRequest(
+        backend="b", user="u", metadata={"gold": "A"}
+    )
+    assert ChatRequest("b", "u") != ChatRequest("b", "v")
+    first, second = ChatRequest("b", "u"), ChatRequest("b", "u")
+    assert first.metadata == {} and first.metadata is not second.metadata
+    assert repr(first) == "ChatRequest(backend='b', user='u', metadata={})"
 
 
 def test_backend_config_validation():
@@ -237,9 +251,48 @@ def test_simulated_latency_key_matches_list_join(seed, backend, user, metadata, 
     )
 
 
+PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+
+
+def regex_reply(template, metadata):
+    """A reply rendered as first written: one regex substitution per call."""
+
+    def sub(m):
+        key = m.group(1)
+        return str(metadata[key]) if key in metadata else m.group(0)
+
+    return PLACEHOLDER_RE.sub(sub, template)
+
+
+TEMPLATE_PIECE = st.sampled_from(
+    ["{gold}", "{wrong}", "{model_id}", "{unknown}", "{Gold}", "{}", "{{gold}}", "{gold",
+     "gold}", "{", "}", "{9}", "{a b}", "<<", ">>", " ", "answer", "\n"]
+) | st.text(max_size=6)
+METADATA_VALUE = st.one_of(
+    st.text(max_size=8), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none()
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    template=st.lists(TEMPLATE_PIECE, max_size=8).map("".join),
+    metadata=st.dictionaries(
+        st.sampled_from(["gold", "wrong", "model_id", "Gold", "question_id"]), METADATA_VALUE
+    ),
+)
+def test_reply_renders_like_the_regex_substitution(template, metadata):
+    rules = parse_rules([{"reply": template}])
+    reply = mock_complete(rules, ChatRequest(backend="b", user="u", metadata=metadata))
+    assert reply.text == regex_reply(template, metadata)
+
+
 def test_reply_without_placeholder_is_returned_as_is():
-    assert _render_reply("plain <<A>>", {"gold": "B"}) == "plain <<A>>"
-    assert _render_reply("<<{gold}>> {missing}", {"gold": "B"}) == "<<B>> {missing}"
+    def reply(template, metadata):
+        req = ChatRequest(backend="b", user="u", metadata=metadata)
+        return mock_complete(parse_rules([{"reply": template}]), req).text
+
+    assert reply("plain <<A>>", {"gold": "B"}) == "plain <<A>>"
+    assert reply("<<{gold}>> {missing}", {"gold": "B"}) == "<<B>> {missing}"
 
 
 # -- remote backend ---------------------------------------------------------

@@ -15,6 +15,9 @@ from sdag.backends import BackendConfig, ChatClient, ChatResponse, MockBackend, 
 from sdag.errors import AuthError, NoRuleMatched, RoleInputMismatch, TransportError
 from sdag.orchestrator import (
     ANSWER_FORMAT_LINE,
+    DOMINANT_PROMPT,
+    SUBJECT_EXPERT_PROMPT,
+    SUPPORTING_PROMPT,
     UNAVAILABLE,
     AgentRole,
     assign_roles,
@@ -26,7 +29,7 @@ from sdag.orchestrator import (
     render_prompt,
     render_single_cot_prompt,
 )
-from sdag.subjects import QuestionRecord, SDag, SDagEdge, SDagNode, Subject
+from sdag.subjects import SUBJECTS, QuestionRecord, SDag, SDagEdge, SDagNode, Subject
 
 M, P, C, B = Subject.MATH, Subject.PHYSICS, Subject.CHEMISTRY, Subject.BIOLOGY
 
@@ -153,6 +156,63 @@ def test_answer_format_override():
         AgentRole.DOMINANT, M, "Q?", [(P, "p")], append_answer_format=False
     )
     assert ANSWER_FORMAT_LINE not in suppressed
+
+
+def format_prompt(role, subject, question, upstream, append_answer_format):
+    """A prompt rendered as first written: `str.format` on the role's template."""
+    upstream = sorted(upstream, key=lambda pair: pair[0].index)
+    if role is AgentRole.SUBJECT_EXPERT:
+        text = SUBJECT_EXPERT_PROMPT.format(subject=subject.value, Q=question)
+    elif role is AgentRole.SUPPORTING:
+        text = SUPPORTING_PROMPT.format(
+            subject=subject.value,
+            Q=question,
+            sources=", ".join(s.value for s, _ in upstream),
+            support_lines="\n".join(
+                f"Supporting Information from {s.value}: {content}" for s, content in upstream
+            ),
+        )
+    else:
+        text = DOMINANT_PROMPT.format(
+            subject=subject.value,
+            Q=question,
+            expert_lines="\n".join(f"- {s.value}: {content}" for s, content in upstream),
+        )
+    if append_answer_format is None:
+        append_answer_format = role is AgentRole.DOMINANT
+    if append_answer_format:
+        text += "\n" + ANSWER_FORMAT_LINE
+    return text
+
+
+BRACED_TEXT = st.lists(
+    st.sampled_from(["{", "}", "{Q}", "{subject}", "{0}", "{}", "Q", "x + y", "\n"])
+    | st.text(max_size=5),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    role=st.sampled_from(list(AgentRole)),
+    subject=st.sampled_from(SUBJECTS),
+    question=BRACED_TEXT,
+    upstream=st.lists(
+        st.tuples(st.sampled_from(SUBJECTS), BRACED_TEXT),
+        max_size=4,
+        unique_by=lambda pair: pair[0],
+    ),
+    append_answer_format=st.sampled_from([None, True, False]),
+)
+def test_render_prompt_matches_template_format(
+    role, subject, question, upstream, append_answer_format
+):
+    args = (role, subject, question, upstream, append_answer_format)
+    if (role is AgentRole.SUBJECT_EXPERT) == (not upstream):
+        assert render_prompt(*args) == format_prompt(*args)
+    else:
+        with pytest.raises(RoleInputMismatch):
+            render_prompt(*args)
 
 
 def test_single_cot_prompt_includes_options():

@@ -7,6 +7,7 @@ import logging
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DAMAGE,
@@ -153,6 +154,41 @@ def test_selection_map_covers_requested_subjects():
     store = store_from_raw({"a": {M: 1.0}, "b": {P: 1.0}})
     mapping = selection_map([M, P], store)
     assert mapping == {M: "a", P: "b"}
+
+
+def argmin_selection(subjects, store):
+    """Selection as first written: one `min` over the profiles per subject."""
+    if subjects and not store.profiles:
+        raise EmptyPool("no profiles to select from")
+    return {
+        s: min(store.profiles.values(), key=lambda p: (-p.normalized[s], p.model_id)).model_id
+        for s in subjects
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.dictionaries(
+        st.text(min_size=1, max_size=3),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=len(SUBJECTS),
+                 max_size=len(SUBJECTS)),
+        max_size=5,
+    ),
+    subjects=st.lists(st.sampled_from(SUBJECTS), max_size=len(SUBJECTS) + 2),
+)
+def test_selection_map_matches_per_subject_argmin(scores, subjects):
+    store = ProfileStore(profiles={
+        model_id: ModelProfile(model_id, {}, dict(zip(SUBJECTS, row)), False)
+        for model_id, row in scores.items()
+    })
+    try:
+        expected = argmin_selection(subjects, store)
+    except EmptyPool:
+        with pytest.raises(EmptyPool):
+            selection_map(subjects, store)
+        return
+    assert selection_map(subjects, store) == expected
+    assert expected == {s: select_model(s, store) for s in subjects}
 
 
 # -- run_profiling ----------------------------------------------------------

@@ -126,7 +126,7 @@ class MockRule:
 
     matches: Callable[[ChatRequest], bool]
     head: str
-    fields: tuple[tuple[str, str, str], ...]
+    placeholders: tuple[tuple[str, str, str], ...]
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
@@ -138,8 +138,8 @@ def parse_rules(raw: list) -> list[MockRule]:
     for i, entry in enumerate(raw):
         check_fields(f"mock rule {i}", entry, RULE_FIELDS)
         head, *rest = _PLACEHOLDER_RE.split(entry["reply"])
-        fields = tuple((key, f"{{{key}}}", tail) for key, tail in zip(rest[::2], rest[1::2]))
-        rules.append(MockRule(_matcher(f"mock rule {i}", entry.get("match")), head, fields))
+        placeholders = tuple((key, f"{{{key}}}", tail) for key, tail in zip(rest[::2], rest[1::2]))
+        rules.append(MockRule(_matcher(f"mock rule {i}", entry.get("match")), head, placeholders))
     return rules
 
 
@@ -194,7 +194,7 @@ def mock_complete(script: list[MockRule], req: ChatRequest, *, seed: int = 0,
         if rule.matches(req):
             text = rule.head
             metadata = req.metadata
-            for key, placeholder, tail in rule.fields:
+            for key, placeholder, tail in rule.placeholders:
                 text = f"{text}{metadata.get(key, placeholder)!s}{tail}"
             latency = _simulated_latency(seed, req.backend, req, *latency_ms)
             return ChatResponse(text, latency, 1, req.backend)

@@ -94,6 +94,9 @@ class BackendConfig:
     script: list = field(default_factory=list)
     seed: int = 0
     latency_ms: tuple[float, float] = (5.0, 50.0)
+    # A mock backend's script as `parse_rules` compiled it while checking it,
+    # which `MockBackend` runs; empty for a remote backend.
+    rules: tuple[MockRule, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("remote", "mock"):
@@ -109,7 +112,7 @@ class BackendConfig:
             raise ValueError(f"latency_ms range invalid: {self.latency_ms}")
         if self.kind == "mock":
             try:
-                parse_rules(self.script)
+                object.__setattr__(self, "rules", tuple(parse_rules(self.script)))
             except ValueError as exc:
                 raise ValueError(f"mock backend {self.name!r}: {exc}") from None
 
@@ -204,7 +207,7 @@ def mock_complete(script: list[MockRule], req: ChatRequest, *, seed: int = 0,
 class MockBackend:
     def __init__(self, config: BackendConfig):
         self.config = config
-        self.rules = parse_rules(config.script)
+        self.rules = config.rules
 
     @property
     def simulated(self) -> bool:

@@ -5,12 +5,16 @@ epoch. Runs are bit-reproducible for a fixed seed, sample list, and starting
 parameters.
 
 `train()` lays out its working copy of the parameters in one flat float64
-buffer, in tensor order, and each of the copy's tensors is a reshaped view
-into it. Only that copy, which `train()` returns, views the buffer; the
-caller's parameters are never touched. Adam's gradient buffer shares that
-layout, and `backward` writes each step's gradients straight into views of it,
-so no gradient is copied. Adam then updates the whole parameter buffer in
-place with a fixed handful of element-wise ufuncs per step.
+buffer, and each of the copy's tensors is a view into it. Only that copy,
+which `train()` returns, views the buffer; the caller's parameters are never
+touched. `backward` writes each step's gradients straight into views of a
+gradient buffer with the same layout. Adam then updates, in place and with a
+fixed handful of element-wise ufuncs per step, only the parameters that can
+move: every tensor except the question blocks of `init.w` and
+`edge_head.w1`, plus the rows of those blocks whose bucket some sample's
+question embedding hits. The other rows get a zero gradient at every step,
+so Adam would leave them as they are; `_Adam` says how the live rows are
+laid out and why the result is bit for bit that of updating every parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import EmptySplit
-from ..subjects import SDag
+from ..subjects import NUM_SUBJECTS, SDag
 from .loss import LossConfig, loss_and_gradients
 from .model import RouterDims, RouterParams, init_params
 
@@ -44,10 +48,15 @@ class TrainSample:
 
     @classmethod
     def from_dag(cls, h_q: Array, dag: SDag) -> "TrainSample":
-        node_labels, edge_labels = dag.to_labels()
+        """The 0/1 labels of `SDag.to_labels`, written straight into arrays."""
+        node_labels = np.zeros(NUM_SUBJECTS)
+        for node in dag.nodes:
+            node_labels[node.subject.index] = 1.0
+        edge_labels = np.zeros((NUM_SUBJECTS, NUM_SUBJECTS))
+        for edge in dag.edges:
+            edge_labels[edge.src.index, edge.dst.index] = 1.0
         return cls(h_q=np.asarray(h_q, dtype=np.float64),
-                   node_labels=np.asarray(node_labels, dtype=np.float64),
-                   edge_labels=np.asarray(edge_labels, dtype=np.float64))
+                   node_labels=node_labels, edge_labels=edge_labels)
 
 
 @dataclass(frozen=True)
@@ -71,30 +80,97 @@ class TrainResult:
     steps: int
 
 
-class _Adam:
-    """Adam (Kingma & Ba) over one flat float64 parameter buffer, in place.
+def _question_blocks(dims: RouterDims) -> dict[str, int]:
+    """The two tensors that take the question embedding as input, each with
+    the number of its rows before the question block, in layout order."""
+    return {"edge_head.w1": 2 * dims.h, "init.w": dims.d_s}
 
-    `flat` is the buffer behind `train()`'s working copy of the parameters,
-    whose tensors are views into it in the order of `tensors`. The moments `m`
-    and `v`, the gradient buffer `g` and one scratch buffer share its layout,
-    so a step allocates nothing. `grads` holds views of `g` shaped like
-    `tensors`; the caller writes a step's gradients into them before `step()`.
-    Each operation is element-wise and keeps the operands and order of the
-    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so results
-    are bit for bit those of updating each tensor on its own.
+
+def _live_buckets(d_q: int, samples: list[TrainSample]) -> Array:
+    """Whether each question bucket is nonzero in some sample's embedding.
+
+    An embedding of the wrong shape is skipped here; the forward pass rejects it.
+    """
+    live = np.zeros(d_q, dtype=bool)
+    for sample in samples:
+        h_q = np.asarray(sample.h_q)
+        if h_q.shape == (d_q,):
+            live |= h_q != 0.0
+    return live
+
+
+class _Adam:
+    """Adam (Kingma & Ba) over the parameters that can move, in place.
+
+    The gradient of a question-block row is the outer product of `h_q` with
+    the block's output gradient, so a row whose bucket no sample hits gets a
+    gradient of +-0 at every step. Its moments stay +0.0 and its update is
+    +0.0, which leaves the row bit for bit as it was; Adam skips such rows.
+
+    `tensors` is the working copy of the parameters. Its tensors are views of
+    one flat float64 buffer, laid out with every other tensor first, then the
+    two question-block tensors of `_question_blocks`. Adam updates one
+    contiguous region of that buffer: the layout up to its first skipped row,
+    and in front of it one slot for each live row after that row. Each step
+    first copies those rows' gradients into the slots, one slice per run of
+    adjacent rows, and last copies the updated slots back into the tensors.
+    When every bucket is hit, the region is the whole layout and nothing is
+    copied.
+
+    `grads` holds views of a gradient buffer with the same layout; the caller
+    writes a step's gradients into them before `step()`. The moments and one
+    scratch buffer cover the region only, so a step allocates nothing. Each
+    operation is element-wise and keeps the operands and order of the
+    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so live
+    elements get the bits of updating each tensor on its own.
     """
 
-    def __init__(self, flat: Array, tensors: dict[str, Array], lr: float):
-        self.flat = flat
+    def __init__(self, params: RouterParams, live_buckets: Array, lr: float):
+        blocks = _question_blocks(params.dims)
+        shapes = {name: arr.shape for name, arr in params.tensors.items()}
+        order = [name for name in shapes if name not in blocks] + list(blocks)
+        sizes = [params.tensors[name].size for name in order]
+        offsets = dict(zip(order, np.cumsum([0] + sizes).tolist()))
+        live = np.ones(sum(sizes), dtype=bool)
+        for name, first in blocks.items():
+            rows = live[offsets[name] : offsets[name] + params.tensors[name].size]
+            rows.reshape(shapes[name])[first:] = live_buckets[:, None]
+        prefix = len(live) if live.all() else int(np.argmin(live))  # the first skipped element
+        # Runs of live elements after the prefix, as [start, stop) pairs.
+        bounds = np.flatnonzero(np.diff(live[prefix:], prepend=False, append=False))
+        runs = (bounds + prefix).reshape(-1, 2).tolist()
+        slots = sum(stop - start for start, stop in runs)
+
+        flat = np.empty(slots + len(live))
+        grad = np.empty_like(flat)
+        self.tensors, self.grads = {}, {}
+        for name, shape in shapes.items():
+            at = slice(slots + offsets[name], slots + offsets[name] + params.tensors[name].size)
+            self.tensors[name] = flat[at].reshape(shape)
+            self.grads[name] = grad[at].reshape(shape)
+            self.tensors[name][...] = params.tensors[name]
+        # Per run, (destination, source) view pairs that copy its gradients into
+        # its slot and its updated parameters back out.
+        self._gather, self._scatter = [], []
+        slot = 0
+        for start, stop in runs:
+            at, to = slice(slots + start, slots + stop), slice(slot, slot + stop - start)
+            flat[to] = flat[at]
+            self._gather.append((grad[to], grad[at]))
+            self._scatter.append((flat[at], flat[to]))
+            slot = to.stop
+
+        region = slots + prefix
+        self.p, self.g = flat[:region], grad[:region]
         self.lr = lr
         self.t = 0
-        self.m = np.zeros_like(flat)
-        self.v = np.zeros_like(flat)
-        self.g = np.empty_like(flat)
-        self.grads = _views(self.g, tensors)
-        self.scratch = np.empty_like(flat)
+        self.m = np.zeros(region)
+        self.v = np.zeros(region)
+        self.scratch = np.empty(region)
 
     def step(self) -> None:
+        for slot, rows in self._gather:
+            slot[...] = rows
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -111,23 +187,9 @@ class _Adam:
         np.divide(m, bc1, out=s)
         np.multiply(self.lr, s, out=s)
         s /= g
-        self.flat -= s
-
-
-def _views(flat: Array, tensors: dict[str, Array]) -> dict[str, Array]:
-    """Reshaped views of `flat`, one per tensor, laid out in `tensors` order."""
-    views: dict[str, Array] = {}
-    start = 0
-    for name, arr in tensors.items():
-        views[name] = flat[start : start + arr.size].reshape(arr.shape)
-        start += arr.size
-    return views
-
-
-def _flat_copy(params: RouterParams) -> tuple[RouterParams, Array]:
-    """Copy `params` into one flat float64 buffer; the copy's tensors view it."""
-    flat = np.concatenate(list(params.tensors.values()), axis=None, dtype=np.float64)
-    return replace(params, tensors=_views(flat, params.tensors)), flat
+        self.p -= s
+        for rows, slot in self._scatter:
+            rows[...] = slot
 
 
 def train(
@@ -136,8 +198,8 @@ def train(
     """Train a copy of `params` on `samples`; the input is left untouched."""
     if not samples:
         raise EmptySplit("no training samples")
-    params, flat = _flat_copy(params)
-    optimizer = _Adam(flat, params.tensors, config.lr)
+    optimizer = _Adam(params, _live_buckets(params.dims.d_q, samples), config.lr)
+    params = replace(params, tensors=optimizer.tensors)
     rng = np.random.default_rng(config.seed)
     loss_curve: list[float] = []
 

@@ -182,6 +182,28 @@ def test_mock_backend_config_checks_its_script():
         BackendConfig(name="m", kind="mock", script=[{"match": {"regex": "("}, "reply": "x"}])
 
 
+def test_mock_script_is_compiled_once_per_backend(monkeypatch, tmp_path):
+    import sdag.backends as backends
+
+    calls = []
+    monkeypatch.setattr(backends, "parse_rules", lambda raw: calls.append(raw) or parse_rules(raw))
+    script = [{"match": {"substring": "hi"}, "reply": "hello {role}"}, {"reply": "ok"}]
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps([{"name": "a", "kind": "mock", "script": script},
+                                {"name": "b", "kind": "mock", "script": script, "seed": 1}]))
+    client = build_client(load_backend_configs(path))
+    assert len(calls) == 2
+    reply = client.complete(ChatRequest(backend="a", user="hi", metadata={"role": "r"}))
+    assert reply.text == "hello r"
+    # The compiled rules ride on the config without entering its repr or equality.
+    config = BackendConfig(name="m", kind="mock", script=script)
+    assert len(calls) == 3 and len(config.rules) == 2
+    assert "rules" not in repr(config)
+    assert config == BackendConfig(name="m", kind="mock", script=script)
+    assert MockBackend(config).rules is config.rules and len(calls) == 4
+    assert BackendConfig(name="r", kind="remote", url="http://localhost").rules == ()
+
+
 def test_mock_latency_deterministic_and_in_range():
     config = BackendConfig(
         name="m", kind="mock", script=[{"reply": "ok"}], seed=5, latency_ms=(5.0, 50.0)

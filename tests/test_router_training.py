@@ -1,14 +1,21 @@
 """Training loop: determinism, loss descent, and config guards."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdag.embedding import HashedEmbedder
 from sdag.errors import EmptySplit
-from sdag.router.loss import LossConfig
+from sdag.router.checkpoint import save_checkpoint
+from sdag.router.loss import LossConfig, loss_and_gradients
 from sdag.router.model import RouterDims, init_params, tensor_shapes
-from sdag.router.training import ADAM_EPS, TrainConfig, TrainSample, train, train_router
-from sdag.subjects import Subject, build_ground_truth_dag
+from sdag.router.training import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainSample, train, train_router,
+)
+from sdag.subjects import SDag, Subject, build_ground_truth_dag
 
 M, P, B, C = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY, Subject.CHEMISTRY
 
@@ -105,3 +112,155 @@ def test_train_sample_stores_float64_label_arrays():
     assert sample.node_labels.dtype == np.float64 and sample.node_labels.shape == (15,)
     assert sample.edge_labels.dtype == np.float64 and sample.edge_labels.shape == (15, 15)
     assert sample.node_labels[M.index] == 1.0 and sample.edge_labels[P.index, M.index] == 1.0
+
+
+def test_train_sample_labels_equal_to_labels_arrays():
+    emb = HashedEmbedder(d=16)
+    dags = [build_ground_truth_dag({M: 0.4, P: 0.3, C: 0.2, B: 0.1}),
+            build_ground_truth_dag({Subject.LAW: 1.0}), SDag()]
+    for dag in dags:
+        sample = TrainSample.from_dag(emb.embed("math"), dag)
+        node_labels, edge_labels = dag.to_labels()
+        for got, want in ((sample.node_labels, node_labels), (sample.edge_labels, edge_labels)):
+            want = np.asarray(want, dtype=np.float64)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+# -- the optimizer against the dense Adam that updates every parameter --------
+
+
+class _DenseAdam:
+    """The optimizer as it was before frozen question rows were skipped: Adam
+    over one flat buffer that holds every parameter, updated at every step."""
+
+    def __init__(self, flat, tensors, lr):
+        self.flat, self.lr, self.t = flat, lr, 0
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self.g = np.empty_like(flat)
+        self.grads = _dense_views(self.g, tensors)
+        self.scratch = np.empty_like(flat)
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        m, v, g, s = self.m, self.v, self.g, self.scratch
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+        np.square(g, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, s, out=s)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        np.divide(m, bc1, out=s)
+        np.multiply(self.lr, s, out=s)
+        s /= g
+        self.flat -= s
+
+
+def _dense_views(flat, tensors):
+    views, start = {}, 0
+    for name, arr in tensors.items():
+        views[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
+
+
+def dense_train(params, samples, config):
+    flat = np.concatenate(list(params.tensors.values()), axis=None, dtype=np.float64)
+    params = replace(params, tensors=_dense_views(flat, params.tensors))
+    optimizer = _DenseAdam(flat, params.tensors, config.lr)
+    rng = np.random.default_rng(config.seed)
+    loss_curve = []
+    for _ in range(config.epochs):
+        losses = []
+        for idx in rng.permutation(len(samples)):
+            s = samples[idx]
+            value, _ = loss_and_gradients(params, s.h_q, s.node_labels, s.edge_labels,
+                                          config.loss, out=optimizer.grads)
+            optimizer.step()
+            losses.append(value)
+        loss_curve.append(float(np.mean(losses)))
+    return params, loss_curve, optimizer.t
+
+
+def _random_sample(rng, d_q, buckets):
+    """A unit question embedding over `buckets` (none: all zero), as the hashed
+    embedder makes them, and random labels."""
+    h_q = np.zeros(d_q)
+    h_q[buckets] = rng.integers(1, 4, len(buckets)) * rng.choice([-1.0, 1.0], len(buckets))
+    if len(buckets):
+        h_q /= np.linalg.norm(h_q)
+    node_labels = (rng.random(15) < 0.3).astype(np.float64)
+    edge_labels = (rng.random((15, 15)) < 0.2).astype(np.float64)
+    np.fill_diagonal(edge_labels, 0.0)
+    return TrainSample(h_q, node_labels, edge_labels)
+
+
+def random_corpus(rng, d_q, kind, n):
+    """`few`: every question hits one to three of a handful of buckets;
+    `every`: the questions between them hit every bucket; `empty`: as `few`,
+    plus a question with no tokens, whose embedding is all zero."""
+    if kind == "every":
+        hits = [rng.choice(d_q, rng.integers(1, d_q + 1), replace=False) for _ in range(n - 1)]
+        hits.append(np.arange(d_q))
+    else:
+        pool = rng.choice(d_q, min(d_q, 3), replace=False)
+        hits = [rng.choice(pool, rng.integers(1, len(pool) + 1), replace=False) for _ in range(n)]
+        if kind == "empty":
+            hits[rng.integers(n)] = np.array([], dtype=np.intp)
+    return [_random_sample(rng, d_q, np.sort(b)) for b in hits]
+
+
+@st.composite
+def training_runs(draw):
+    dims = RouterDims(d_s=draw(st.integers(1, 5)), d_q=draw(st.integers(2, 12)),
+                      h=draw(st.integers(1, 6)), L=draw(st.sampled_from([1, 2])),
+                      activation=draw(st.sampled_from(["relu", "linear"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    samples = random_corpus(rng, dims.d_q, draw(st.sampled_from(["few", "every", "empty"])),
+                            draw(st.integers(1, 4)))
+    config = TrainConfig(epochs=draw(st.integers(1, 3)), lr=draw(st.sampled_from([1e-3, 5e-2])),
+                         seed=draw(st.integers(0, 3)))
+    return init_params(dims, seed=draw(st.integers(0, 3))), samples, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(training_runs())
+def test_train_matches_dense_adam_bit_for_bit(run):
+    params, samples, config = run
+    result = train(params, samples, config)
+    ref_params, ref_curve, ref_steps = dense_train(params, samples, config)
+    assert result.loss_curve == ref_curve and result.steps == ref_steps
+    assert list(result.params.tensors) == list(ref_params.tensors)
+    for name, ref in ref_params.tensors.items():
+        assert result.params.tensors[name].tobytes() == ref.tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(training_runs())
+def test_frozen_question_rows_come_back_untouched(run):
+    params, samples, config = run
+    before = {name: arr.tobytes() for name, arr in params.tensors.items()}
+    result = train(params, samples, config)
+    assert {name: arr.tobytes() for name, arr in params.tensors.items()} == before
+    dims = params.dims
+    hit = np.any([s.h_q != 0.0 for s in samples], axis=0)
+    for name, first in (("init.w", dims.d_s), ("edge_head.w1", 2 * dims.h)):
+        got, given_rows = result.params.tensors[name][first:], params.tensors[name][first:]
+        assert got[~hit].tobytes() == given_rows[~hit].tobytes(), name
+    for name, arr in result.params.tensors.items():
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+
+
+def test_checkpoint_bytes_equal_the_dense_optimizers(tmp_path):
+    rng = np.random.default_rng(5)
+    params = init_params(DIMS, seed=5)
+    samples = random_corpus(rng, DIMS.d_q, "empty", 6)
+    config = TrainConfig(epochs=4, lr=2e-2, seed=5)
+    save_checkpoint(train(params, samples, config).params, tmp_path / "sparse.json")
+    save_checkpoint(dense_train(params, samples, config)[0], tmp_path / "dense.json")
+    assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()

@@ -80,12 +80,6 @@ class TrainResult:
     steps: int
 
 
-def _question_blocks(dims: RouterDims) -> dict[str, int]:
-    """The two tensors that take the question embedding as input, each with
-    the number of its rows before the question block, in layout order."""
-    return {"edge_head.w1": 2 * dims.h, "init.w": dims.d_s}
-
-
 def _live_buckets(d_q: int, samples: list[TrainSample]) -> Array:
     """Whether each question bucket is nonzero in some sample's embedding.
 
@@ -108,14 +102,16 @@ class _Adam:
     +0.0, which leaves the row bit for bit as it was; Adam skips such rows.
 
     `tensors` is the working copy of the parameters. Its tensors are views of
-    one flat float64 buffer, laid out with every other tensor first, then the
-    two question-block tensors of `_question_blocks`. Adam updates one
-    contiguous region of that buffer: the layout up to its first skipped row,
-    and in front of it one slot for each live row after that row. Each step
-    first copies those rows' gradients into the slots, one slice per run of
-    adjacent rows, and last copies the updated slots back into the tensors.
-    When every bucket is hit, the region is the whole layout and nothing is
-    copied.
+    one flat float64 buffer, laid out with every other tensor first, then
+    `edge_head.w1` and `init.w`, whose question blocks follow their first 2h
+    and d_s rows. Adam updates one contiguous region of that buffer: the
+    layout up to its first skipped row, and in front of it one slot for each
+    live row after that row. Each step first copies those rows' gradients
+    into the slots, one slice per run of adjacent rows, and last copies the
+    updated slots back into the tensors. So the 2h always-live rows of
+    `edge_head.w1` stay in place; the d_s rows of `init.w` and the hit
+    question rows past the first skipped one are copied. When every bucket
+    is hit, the region is the whole layout and nothing is copied.
 
     `grads` holds views of a gradient buffer with the same layout; the caller
     writes a step's gradients into them before `step()`. The moments and one
@@ -126,15 +122,17 @@ class _Adam:
     """
 
     def __init__(self, params: RouterParams, live_buckets: Array, lr: float):
-        blocks = _question_blocks(params.dims)
-        shapes = {name: arr.shape for name, arr in params.tensors.items()}
-        order = [name for name in shapes if name not in blocks] + list(blocks)
-        sizes = [params.tensors[name].size for name in order]
+        # Each tensor that takes the question embedding, with the number of
+        # its rows before the question block, in layout order.
+        blocks = {"edge_head.w1": 2 * params.dims.h, "init.w": params.dims.d_s}
+        tensors = params.tensors
+        order = [name for name in tensors if name not in blocks] + list(blocks)
+        sizes = [tensors[name].size for name in order]
         offsets = dict(zip(order, np.cumsum([0] + sizes).tolist()))
         live = np.ones(sum(sizes), dtype=bool)
         for name, first in blocks.items():
-            rows = live[offsets[name] : offsets[name] + params.tensors[name].size]
-            rows.reshape(shapes[name])[first:] = live_buckets[:, None]
+            block = live[offsets[name] : offsets[name] + tensors[name].size]
+            block.reshape(tensors[name].shape)[first:] = live_buckets[:, None]
         prefix = len(live) if live.all() else int(np.argmin(live))  # the first skipped element
         # Runs of live elements after the prefix, as [start, stop) pairs.
         bounds = np.flatnonzero(np.diff(live[prefix:], prepend=False, append=False))
@@ -144,11 +142,11 @@ class _Adam:
         flat = np.empty(slots + len(live))
         grad = np.empty_like(flat)
         self.tensors, self.grads = {}, {}
-        for name, shape in shapes.items():
-            at = slice(slots + offsets[name], slots + offsets[name] + params.tensors[name].size)
-            self.tensors[name] = flat[at].reshape(shape)
-            self.grads[name] = grad[at].reshape(shape)
-            self.tensors[name][...] = params.tensors[name]
+        for name, arr in tensors.items():
+            at = slice(slots + offsets[name], slots + offsets[name] + arr.size)
+            self.tensors[name] = flat[at].reshape(arr.shape)
+            self.grads[name] = grad[at].reshape(arr.shape)
+            self.tensors[name][...] = arr
         # Per run, (destination, source) view pairs that copy its gradients into
         # its slot and its updated parameters back out.
         self._gather, self._scatter = [], []

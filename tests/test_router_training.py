@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdag.embedding import HashedEmbedder
-from sdag.errors import EmptySplit
+from sdag.errors import DimensionMismatch, EmptySplit
 from sdag.router.checkpoint import save_checkpoint
 from sdag.router.loss import LossConfig, loss_and_gradients
 from sdag.router.model import RouterDims, init_params, tensor_shapes
@@ -264,3 +264,11 @@ def test_checkpoint_bytes_equal_the_dense_optimizers(tmp_path):
     save_checkpoint(train(params, samples, config).params, tmp_path / "sparse.json")
     save_checkpoint(dense_train(params, samples, config)[0], tmp_path / "dense.json")
     assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
+def test_train_rejects_a_question_embedding_of_the_wrong_shape():
+    samples = tiny_samples()
+    samples.append(TrainSample(np.ones(DIMS.d_q + 1), samples[0].node_labels,
+                               samples[0].edge_labels))
+    with pytest.raises(DimensionMismatch, match="question embedding"):
+        train(init_params(DIMS), samples, TrainConfig(epochs=1))

@@ -81,6 +81,13 @@ def tensor_shapes(dims: RouterDims) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# The tensors that take the question embedding, each with the row at which its
+# question block starts: `init.w` takes concat(subject, h_q) and `edge_head.w1`
+# takes concat(x[i], x[j], h_q). Row first + k of a block is multiplied by h_q[k].
+def question_blocks(dims: RouterDims) -> dict[str, int]:
+    return {"init.w": dims.d_s, "edge_head.w1": 2 * dims.h}
+
+
 @dataclass
 class RouterParams:
     """All learnable tensors, keyed by the documented naming scheme."""

@@ -8,13 +8,14 @@ parameters.
 buffer, and each of the copy's tensors is a view into it. Only that copy,
 which `train()` returns, views the buffer; the caller's parameters are never
 touched. `backward` writes each step's gradients straight into views of a
-gradient buffer with the same layout. Adam then updates, in place and with a
-fixed handful of element-wise ufuncs per step, only the parameters that can
-move: every tensor except the question blocks of `init.w` and
-`edge_head.w1`, plus the rows of those blocks whose bucket some sample's
-question embedding hits. The other rows get a zero gradient at every step,
-so Adam would leave them as they are; `_Adam` says how the live rows are
-laid out and why the result is bit for bit that of updating every parameter.
+gradient buffer with the same layout. Adam then updates them in place, with a
+fixed handful of element-wise ufuncs per step. It may skip rows that cannot
+move: the rows of the question blocks of `init.w` and `edge_head.w1` whose
+bucket no sample's question embedding hits. Those rows get a zero gradient at
+every step, so Adam would leave them as they are. Skipping costs copies, so
+Adam skips only long runs of such rows, and none when the copies would cost
+more than they save; `_Adam` says how the layout is built and why the result
+is bit for bit that of updating every parameter.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ..errors import EmptySplit
 from ..subjects import NUM_SUBJECTS, SDag
 from .loss import LossConfig, loss_and_gradients
-from .model import RouterDims, RouterParams, init_params
+from .model import RouterDims, RouterParams, init_params, question_blocks
 
 Array = np.ndarray
 
@@ -93,48 +94,76 @@ def _live_buckets(d_q: int, samples: list[TrainSample]) -> Array:
     return live
 
 
+# What skipping a frozen element saves and costs, in units of one element's Adam
+# update (about 6.3 ns on a 2-vCPU Xeon VM, NumPy 2.4): copying an element into
+# its slot and back costs about 0.5 ns, and the two copy calls of a run about 1 us.
+COPY_COST = 0.1
+RUN_COST = 150.0
+
+
+def _skipped(frozen: Array) -> Array:
+    """Which of the `frozen` elements of the layout Adam skips.
+
+    Skipping a run of n frozen elements saves n updates and splits off one run
+    of copies, at RUN_COST; and every element after the first skipped run is
+    copied, at COPY_COST each. So Adam skips the runs with
+    n * (1 + COPY_COST) > RUN_COST, and none if what they save does not beat
+    the copies past the first of them.
+    """
+    runs = np.flatnonzero(np.diff(frozen, prepend=False, append=False)).reshape(-1, 2)
+    gains = (runs[:, 1] - runs[:, 0]) * (1.0 + COPY_COST) - RUN_COST
+    runs, gains = runs[gains > 0], gains[gains > 0]
+    skipped = np.zeros_like(frozen)
+    if len(runs) and gains.sum() > COPY_COST * (len(frozen) - runs[0, 0]):
+        for start, stop in runs.tolist():
+            skipped[start:stop] = True
+    return skipped
+
+
 class _Adam:
     """Adam (Kingma & Ba) over the parameters that can move, in place.
 
     The gradient of a question-block row is the outer product of `h_q` with
     the block's output gradient, so a row whose bucket no sample hits gets a
     gradient of +-0 at every step. Its moments stay +0.0 and its update is
-    +0.0, which leaves the row bit for bit as it was; Adam skips such rows.
+    +0.0, which leaves the row bit for bit as it was. Adam skips the runs of
+    such rows that `_skipped` picks and updates every other element.
 
     `tensors` is the working copy of the parameters. Its tensors are views of
-    one flat float64 buffer, laid out with every other tensor first, then
-    `edge_head.w1` and `init.w`, whose question blocks follow their first 2h
-    and d_s rows. Adam updates one contiguous region of that buffer: the
-    layout up to its first skipped row, and in front of it one slot for each
-    live row after that row. Each step first copies those rows' gradients
-    into the slots, one slice per run of adjacent rows, and last copies the
-    updated slots back into the tensors. So the 2h always-live rows of
-    `edge_head.w1` stay in place; the d_s rows of `init.w` and the hit
-    question rows past the first skipped one are copied. When every bucket
-    is hit, the region is the whole layout and nothing is copied.
+    one flat float64 buffer, laid out with every tensor that takes no question
+    embedding first, then the ones that do (`model.question_blocks`), the one
+    with more rows ahead of its question block first. Adam updates one
+    contiguous region of that buffer: the layout up to its first skipped row,
+    and in front of it one slot for each updated element after that row. Each
+    step first copies those elements' gradients into the slots, one slice per
+    run between skipped rows, and last copies the updated slots back into the
+    tensors. When nothing is skipped, the region is the whole layout and
+    nothing is copied.
 
     `grads` holds views of a gradient buffer with the same layout; the caller
     writes a step's gradients into them before `step()`. The moments and one
     scratch buffer cover the region only, so a step allocates nothing. Each
     operation is element-wise and keeps the operands and order of the
-    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so live
+    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so updated
     elements get the bits of updating each tensor on its own.
     """
 
     def __init__(self, params: RouterParams, live_buckets: Array, lr: float):
-        # Each tensor that takes the question embedding, with the number of
-        # its rows before the question block, in layout order.
-        blocks = {"edge_head.w1": 2 * params.dims.h, "init.w": params.dims.d_s}
+        blocks = question_blocks(params.dims)
         tensors = params.tensors
-        order = [name for name in tensors if name not in blocks] + list(blocks)
+        # The rows ahead of the second question block are copied whenever a row
+        # of the first is skipped, so the tensor with fewer of them goes last.
+        order = ([name for name in tensors if name not in blocks]
+                 + sorted(blocks, key=blocks.get, reverse=True))
         sizes = [tensors[name].size for name in order]
         offsets = dict(zip(order, np.cumsum([0] + sizes).tolist()))
-        live = np.ones(sum(sizes), dtype=bool)
+        frozen = np.zeros(sum(sizes), dtype=bool)
         for name, first in blocks.items():
-            block = live[offsets[name] : offsets[name] + tensors[name].size]
-            block.reshape(tensors[name].shape)[first:] = live_buckets[:, None]
+            block = frozen[offsets[name] : offsets[name] + tensors[name].size]
+            block.reshape(tensors[name].shape)[first:] = ~live_buckets[:, None]
+        live = ~_skipped(frozen)
         prefix = len(live) if live.all() else int(np.argmin(live))  # the first skipped element
-        # Runs of live elements after the prefix, as [start, stop) pairs.
+        # Runs of updated elements after the prefix, as [start, stop) pairs.
         bounds = np.flatnonzero(np.diff(live[prefix:], prepend=False, append=False))
         runs = (bounds + prefix).reshape(-1, 2).tolist()
         slots = sum(stop - start for start, stop in runs)

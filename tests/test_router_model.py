@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdag.errors import DimensionMismatch
+from sdag.router.loss import loss_and_gradients
 from sdag.router.model import (
     NUM_PAIRS,
     PAIR_DST,
@@ -13,6 +14,7 @@ from sdag.router.model import (
     RouterOutput,
     RouterParams,
     init_params,
+    question_blocks,
     route,
     tensor_shapes,
 )
@@ -46,6 +48,22 @@ def test_tensor_shapes_naming_scheme():
     assert "mp3.w_self" not in shapes
     assert shapes["node_head.w2"] == (8, 1)
     assert shapes["edge_head.w1"] == (2 * 8 + 6, 8)
+
+
+def test_question_blocks_are_the_rows_that_meet_the_question_embedding():
+    # Row first + k of a block gets gradient h_q[k] * (the block's output
+    # gradient), so it is zero exactly where h_q is; the row just ahead of the
+    # block does not meet h_q and is not.
+    dims = RouterDims(d_s=3, d_q=5, h=4, L=1, activation="linear")
+    params = init_params(dims, seed=1)
+    h_q = np.array([0.0, 0.6, 0.0, -0.8, 0.0])
+    labels = np.ones(NUM_SUBJECTS), np.roll(np.eye(NUM_SUBJECTS), 1, axis=1)
+    _, grads = loss_and_gradients(params, h_q, *labels)
+    for name, first in question_blocks(dims).items():
+        assert tensor_shapes(dims)[name][0] == first + dims.d_q
+        rows = grads[name][first:]
+        assert not rows[h_q == 0].any() and rows[h_q != 0].any(axis=1).all(), name
+        assert grads[name][first - 1].any(), name
 
 
 def test_dims_validation():

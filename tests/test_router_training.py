@@ -1,6 +1,8 @@
 """Training loop: determinism, loss descent, and config guards."""
 
+import contextlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from sdag.embedding import HashedEmbedder
 from sdag.errors import DimensionMismatch, EmptySplit
 from sdag.router.checkpoint import save_checkpoint
 from sdag.router.loss import LossConfig, loss_and_gradients
-from sdag.router.model import RouterDims, init_params, tensor_shapes
+from sdag.router import training
+from sdag.router.model import RouterDims, init_params, question_blocks, tensor_shapes
 from sdag.router.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainSample, train, train_router,
 )
@@ -225,14 +228,23 @@ def training_runs(draw):
                             draw(st.integers(1, 4)))
     config = TrainConfig(epochs=draw(st.integers(1, 3)), lr=draw(st.sampled_from([1e-3, 5e-2])),
                          seed=draw(st.integers(0, 3)))
-    return init_params(dims, seed=draw(st.integers(0, 3))), samples, config
+    return init_params(dims, seed=draw(st.integers(0, 3))), samples, config, draw(st.booleans())
+
+
+def skip_costs(free):
+    """At these small dims no frozen run is worth its copies; with free copies
+    Adam skips every frozen row."""
+    if not free:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(training, COPY_COST=0.0, RUN_COST=0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(training_runs())
 def test_train_matches_dense_adam_bit_for_bit(run):
-    params, samples, config = run
-    result = train(params, samples, config)
+    params, samples, config, free = run
+    with skip_costs(free):
+        result = train(params, samples, config)
     ref_params, ref_curve, ref_steps = dense_train(params, samples, config)
     assert result.loss_curve == ref_curve and result.steps == ref_steps
     assert list(result.params.tensors) == list(ref_params.tensors)
@@ -243,13 +255,13 @@ def test_train_matches_dense_adam_bit_for_bit(run):
 @settings(max_examples=30, deadline=None)
 @given(training_runs())
 def test_frozen_question_rows_come_back_untouched(run):
-    params, samples, config = run
+    params, samples, config, free = run
     before = {name: arr.tobytes() for name, arr in params.tensors.items()}
-    result = train(params, samples, config)
+    with skip_costs(free):
+        result = train(params, samples, config)
     assert {name: arr.tobytes() for name, arr in params.tensors.items()} == before
-    dims = params.dims
     hit = np.any([s.h_q != 0.0 for s in samples], axis=0)
-    for name, first in (("init.w", dims.d_s), ("edge_head.w1", 2 * dims.h)):
+    for name, first in question_blocks(params.dims).items():
         got, given_rows = result.params.tensors[name][first:], params.tensors[name][first:]
         assert got[~hit].tobytes() == given_rows[~hit].tobytes(), name
     for name, arr in result.params.tensors.items():
@@ -272,3 +284,34 @@ def test_train_rejects_a_question_embedding_of_the_wrong_shape():
                                samples[0].edge_labels))
     with pytest.raises(DimensionMismatch, match="question embedding"):
         train(init_params(DIMS), samples, TrainConfig(epochs=1))
+
+
+def frozen_runs(size, runs):
+    frozen = np.zeros(size, dtype=bool)
+    for start, stop in runs:
+        frozen[start:stop] = True
+    return frozen
+
+
+def test_adam_skips_the_frozen_runs_that_pay_for_their_copies():
+    # Runs of 10, 300 and 200 elements: the short one would save less than its
+    # copy calls cost; the two long ones save more than copying the 1,500
+    # elements past the first of them.
+    frozen = frozen_runs(2000, [(100, 110), (500, 800), (1500, 1700)])
+    assert np.array_equal(training._skipped(frozen), frozen_runs(2000, [(500, 800), (1500, 1700)]))
+    # One long run early in a long layout saves less than the copies behind it.
+    assert not training._skipped(frozen_runs(5000, [(100, 300)])).any()
+    assert not training._skipped(np.zeros(100, dtype=bool)).any()
+
+
+@pytest.mark.parametrize("hit, skips", [(np.arange(0, 256, 2), False), (np.arange(14), True)])
+def test_adam_skips_question_rows_only_where_they_pay(hit, skips):
+    # At the benchmark dims: single dead buckets between hit ones are updated
+    # in place, while a few hit buckets leave long frozen runs to skip.
+    params = init_params(RouterDims(d_s=32, d_q=256, h=64, L=2), seed=0)
+    live = np.zeros(256, dtype=bool)
+    live[hit] = True
+    optimizer = training._Adam(params, live, 1e-3)
+    size = sum(arr.size for arr in params.tensors.values())
+    assert (optimizer.p.size < size) == skips
+    assert bool(optimizer._gather) == skips

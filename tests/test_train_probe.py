@@ -1,4 +1,4 @@
-"""The parent/change summary of tools/train_probe.py, on synthetic runs."""
+"""The summary of tools/train_probe.py, on synthetic runs."""
 
 import sys
 from pathlib import Path
@@ -7,31 +7,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import train_probe  # noqa: E402
 
 
-def run(pair, side, step_us, sha="a", buckets=256):
-    return {"pair": pair, "side": side, "step_us": step_us, "steps": 600,
-            "buckets_hit": buckets, "sha256": sha}
+def run(pair, side, step_us, sha="a"):
+    result = {"correct": True, "failed": 0, "metrics": {"step_us": {"value": step_us}},
+              "sha256": sha}
+    return {"pair": pair, "side": side, "result": result}
 
 
-def test_summary_takes_each_runs_minimum_and_counts_wins():
-    runs = [
-        run(1, "parent", [900.0, 880.0]), run(1, "change", [700.0, 710.0]),
-        run(2, "change", [905.0]), run(2, "parent", [890.0, 950.0]),
-        run(3, "parent", [870.0]), run(3, "change", [720.0]),
-    ]
-    summary = train_probe.summarize(runs)
-    assert summary["pairs"] == 3
-    assert summary["parent_q1_median_q3"] == [875.0, 880.0, 885.0]
-    assert summary["change_q1_median_q3"] == [710.0, 720.0, 812.5]
-    assert summary["change_wins"] == "2/3"
-    assert summary["parent_iqr"] == 10.0
-    assert not summary["slower_beyond_parent_iqr"]
-    assert summary["same_bits"] and summary["buckets_hit"] == [256]
-
-
-def test_summary_flags_a_slower_change_and_different_bits():
-    runs = [run(1, "parent", [800.0]), run(1, "change", [900.0], sha="b"),
-            run(2, "change", [910.0]), run(2, "parent", [805.0])]
-    summary = train_probe.summarize(runs)
-    assert summary["slower_beyond_parent_iqr"]
-    assert not summary["same_bits"]
-    assert summary["median_change_pct"] == 12.77
+def test_summary_pairs_step_times_and_checks_the_bits():
+    runs = [run(1, "parent", 880.0), run(1, "change", 700.0),
+            run(2, "change", 905.0), run(2, "parent", 890.0),
+            run(3, "parent", 870.0), run(3, "change", 720.0)]
+    summary = train_probe.summarize_probe(runs)
+    step = summary["metrics"]["step_us"]
+    assert summary["pairs"] == 3 and step["better"] == "lower"
+    assert step["parent_q1_median_q3"] == [875.0, 880.0, 885.0]
+    assert step["change_wins"] == "2/3" and step["parent_iqr"] == 10.0
+    assert summary["same_bits"]
+    runs.append(run(4, "change", 700.0, sha="b"))
+    assert not train_probe.summarize_probe(runs)["same_bits"]

@@ -136,6 +136,15 @@ def summarize(runs: list[dict], better: dict[str, str],
     return summary
 
 
+def run_order(first: int, pairs: int):
+    """(pair, side, ran_first) for pairs first, first + 1, ... in the order they
+    run: the parent runs first in odd pairs."""
+    for pair in range(first, first + pairs):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for position, side in enumerate(order):
+            yield pair, side, position == 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's tree")
@@ -159,15 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     first = max((r["pair"] for r in earlier), default=0) + 1
 
     runs = []
-    for pair in range(first, first + args.pairs):
-        order = SIDES if pair % 2 else SIDES[::-1]
-        for position, side in enumerate(order):
-            run = {"workload": args.workload, "pair": pair, "seed": pair, "side": side,
-                   "ran_first": position == 0, "trace": args.trace,
-                   **run_once(benchmark["command"], trees[side], args.workload, pair,
-                              args.trace)}
-            runs.append(run)
-            print(f"{key} pair {pair} {side}: exit {run['exit']}, {run['wall_s']} s", flush=True)
+    for pair, side, ran_first in run_order(first, args.pairs):
+        run = {"workload": args.workload, "pair": pair, "seed": pair, "side": side,
+               "ran_first": ran_first, "trace": args.trace,
+               **run_once(benchmark["command"], trees[side], args.workload, pair, args.trace)}
+        runs.append(run)
+        print(f"{key} pair {pair} {side}: exit {run['exit']}, {run['wall_s']} s", flush=True)
 
     record["runs"] += runs
     for side in SIDES:

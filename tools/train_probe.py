@@ -1,26 +1,26 @@
 """Time `train()` in alternating fresh processes of two trees and record them.
 
     python3 tools/train_probe.py --parent DIR --change DIR --corpus C \
-        --pairs N --out BENCH_x.json [--repeats R]
+        --pairs N --out BENCH_x.json
 
 Each run is a new `python3` process with `DIR/src` on its path, BLAS on one
 thread and the process pinned to one CPU. It trains the benchmark's set-up
 router (acceptance dims, 100 questions, 6 epochs, lr 1e-2, edge weight 2)
-R times on one corpus and reports each call's time per step, with a digest
-of the trained parameters and the loss curve, so the two trees' results can
-be compared bit for bit. Corpora:
+three times on one corpus. Its result has the shape of a benchmark result
+with one metric, `step_us`, the least time per step of the three calls, and
+a digest of the trained parameters and loss curve, so that the two trees'
+results can be compared bit for bit. Corpora:
 
 - `synthetic`: the set-up corpus as generated; its questions hash to the 14
   buckets of the subject keywords;
-- `dense`: the same questions, each with extra tokens dealt round-robin from
-  a list that hashes to every one of the 256 buckets, as real question text
-  does.
+- `dense-50`, `dense-75`, `dense-90`: the same questions, each with extra
+  tokens dealt round-robin from a list that is cut where the questions hit
+  50, 75 or 90 % of the 256 buckets; the buckets left unhit are scattered;
+- `dense`: the list uncut, so that the questions hit every bucket.
 
-Pair i runs the parent first when i is odd. The runs and a summary (each
-side's quartiles of the per-run minimum step time, the median change, the
-parent's interquartile range, how many pairs the change won, and whether
-the two trees trained the same bits) go under `train_probe.<corpus>` in the
-output file; its other keys are kept.
+Runs are ordered and summarized as in bench_pairs.py, under
+`train_probe.<corpus>` in the output file, whose other keys are kept. The
+summary adds `same_bits`: whether every run trained the same bits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import SIDES, _quartiles
+from bench_pairs import run_order, summarize
+
+REPEATS = 3
+CORPORA = {"synthetic": 0.0, "dense-50": 0.5, "dense-75": 0.75, "dense-90": 0.9, "dense": 1.0}
 
 CHILD = r"""
 import hashlib, json, os, sys, time
@@ -44,19 +47,19 @@ from sdag.router.training import TrainConfig, TrainSample, train
 from sdag.synthetic import SyntheticConfig, dag_dataset, generate_synthetic_records
 
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-corpus, repeats = sys.argv[1], int(sys.argv[2])
+share, repeats = float(sys.argv[1]), int(sys.argv[2])
 dims = RouterDims(d_s=32, d_q=256, h=64, L=2)
 embedder = HashedEmbedder(d=dims.d_q)
 dataset = dag_dataset(generate_synthetic_records(SyntheticConfig(n_questions=100, seed=1_000_003)))
 texts = [question for question, _ in dataset]
-if corpus == "dense":
-    extra, hit, k = [[] for _ in texts], set(), 0
-    while len(hit) < dims.d_q:
-        token = f"v{k}"
-        hit.update(np.flatnonzero(embedder.embed(token)).tolist())
-        extra[k % len(texts)].append(token)
-        k += 1
-    texts = [" ".join([text] + tokens) for text, tokens in zip(texts, extra)]
+hit = set(np.flatnonzero(np.any([embedder.embed(t) != 0 for t in texts], axis=0)).tolist())
+extra, k = [[] for _ in texts], 0
+while len(hit) < share * dims.d_q:
+    token = f"v{k}"
+    hit.update(np.flatnonzero(embedder.embed(token)).tolist())
+    extra[k % len(texts)].append(token)
+    k += 1
+texts = [" ".join([text] + tokens) for text, tokens in zip(texts, extra)]
 samples = [TrainSample.from_dag(embedder.embed(t), dag) for t, (_, dag) in zip(texts, dataset)]
 config = TrainConfig(epochs=6, lr=1e-2, seed=0, loss=LossConfig(lambda_edge=2.0))
 step_us = []
@@ -69,65 +72,47 @@ digest = hashlib.sha256()
 for name in sorted(result.params.tensors):
     digest.update(name.encode() + result.params.tensors[name].tobytes())
 digest.update(json.dumps(result.loss_curve).encode())
-buckets = int(np.count_nonzero(np.any([s.h_q != 0 for s in samples], axis=0)))
-print(json.dumps({"step_us": step_us, "steps": result.steps, "buckets_hit": buckets,
-                  "sha256": digest.hexdigest()}))
+print(json.dumps({"correct": True, "failed": 0, "metrics": {"step_us": {"value": min(step_us)}},
+                  "step_us": step_us, "buckets_hit": len(hit), "sha256": digest.hexdigest()}))
 """
 
 
-def run_once(tree: Path, corpus: str, repeats: int) -> dict:
+def run_once(tree: Path, corpus: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, corpus, str(repeats)], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(CORPORA[corpus]), str(REPEATS)],
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summarize(runs: list[dict]) -> dict:
-    by_pair: dict[int, dict[str, dict]] = {}
-    for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run
-    pairs = [(min(p["parent"]["step_us"]), min(p["change"]["step_us"]))
-             for p in by_pair.values()]
-    parent_q = _quartiles([p for p, _ in pairs])
-    change_q = _quartiles([c for _, c in pairs])
-    return {
-        "pairs": len(pairs),
-        "metric": "min step_us of a run (lower is better)",
-        "parent_q1_median_q3": [round(v, 1) for v in parent_q],
-        "change_q1_median_q3": [round(v, 1) for v in change_q],
-        "median_change_pct": round(100 * (change_q[1] / parent_q[1] - 1), 2),
-        "parent_iqr": round(parent_q[2] - parent_q[0], 1),
-        "change_wins": f"{sum(1 for p, c in pairs if c < p)}/{len(pairs)}",
-        "slower_beyond_parent_iqr": change_q[1] - parent_q[1] > parent_q[2] - parent_q[0],
-        "same_bits": len({r["sha256"] for r in runs}) == 1,
-        "buckets_hit": sorted({r["buckets_hit"] for r in runs}),
-    }
+def summarize_probe(runs: list[dict]) -> dict:
+    summary = summarize(runs, {"step_us": "lower"})
+    summary["same_bits"] = len({run["result"]["sha256"] for run in runs}) == 1
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's tree")
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
-    parser.add_argument("--corpus", choices=("synthetic", "dense"), required=True)
+    parser.add_argument("--corpus", choices=CORPORA, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--repeats", type=int, default=3, help="train() calls per run")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to add the runs to")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.repeats < 1:
-        parser.error("--pairs and --repeats must be >= 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     probe = record.setdefault("train_probe", {}).setdefault(args.corpus, {"runs": []})
     probe["what"] = __doc__.split("\n\n", 1)[1].strip()
     first = max((r["pair"] for r in probe["runs"]), default=0) + 1
-    for pair in range(first, first + args.pairs):
-        for side in SIDES if pair % 2 else SIDES[::-1]:
-            run = {"pair": pair, "side": side, **run_once(trees[side], args.corpus, args.repeats)}
-            probe["runs"].append(run)
-            print(f"{args.corpus} pair {pair} {side}: {min(run['step_us']):.1f} us/step",
-                  flush=True)
-    probe["summary"] = summarize(probe["runs"])
+    for pair, side, ran_first in run_order(first, args.pairs):
+        result = run_once(trees[side], args.corpus)
+        probe["runs"].append({"pair": pair, "side": side, "ran_first": ran_first,
+                              "result": result})
+        print(f"{args.corpus} pair {pair} {side}: {result['metrics']['step_us']['value']:.1f}"
+              " us/step", flush=True)
+    probe["summary"] = summarize_probe(probe["runs"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

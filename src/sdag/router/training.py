@@ -96,7 +96,8 @@ def _live_buckets(d_q: int, samples: list[TrainSample]) -> Array:
 
 # What skipping a frozen element saves and costs, in units of one element's Adam
 # update (about 6.3 ns on a 2-vCPU Xeon VM, NumPy 2.4): copying an element into
-# its slot and back costs about 0.5 ns, and the two copy calls of a run about 1 us.
+# its slot and back costs about 0.5 ns, and the two copy calls of a run 0.3-1 us.
+# The run cost takes the top of that range, so that a doubtful skip is left out.
 COPY_COST = 0.1
 RUN_COST = 150.0
 
@@ -104,11 +105,11 @@ RUN_COST = 150.0
 def _skipped(frozen: Array) -> Array:
     """Which of the `frozen` elements of the layout Adam skips.
 
-    Skipping a run of n frozen elements saves n updates and splits off one run
-    of copies, at RUN_COST; and every element after the first skipped run is
-    copied, at COPY_COST each. So Adam skips the runs with
-    n * (1 + COPY_COST) > RUN_COST, and none if what they save does not beat
-    the copies past the first of them.
+    Skipping a run of n frozen elements saves n updates but adds one run of
+    copies, at RUN_COST; and each element that Adam updates past the first
+    skipped run is copied, at COPY_COST. So Adam skips the runs with
+    n * (1 + COPY_COST) > RUN_COST if together they save more than copying
+    everything past the first of them costs, and else none.
     """
     runs = np.flatnonzero(np.diff(frozen, prepend=False, append=False)).reshape(-1, 2)
     gains = (runs[:, 1] - runs[:, 0]) * (1.0 + COPY_COST) - RUN_COST

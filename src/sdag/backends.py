@@ -356,8 +356,9 @@ class ChatClient:
     slots are tokens in a queue.SimpleQueue, and a call takes one, waiting in
     C with the GIL released while none is free (a threading.Semaphore would
     run a Python-level Condition on every call), and puts it back when it
-    returns or raises. The backend set is fixed at construction, and so is
-    `all_simulated`, which holds when every backend is simulated.
+    returns or raises. The backend set is fixed at construction, and so are
+    `max_in_flight`, each backend's slot count, and `all_simulated`, which
+    holds when every backend is simulated.
     """
 
     def __init__(self, backends: dict[str, "MockBackend | RemoteBackend"]):
@@ -365,10 +366,11 @@ class ChatClient:
             raise ValueError("at least one backend is required")
         self.backends = backends
         self.counter = CallCounter()
+        self.max_in_flight = {name: b.config.max_in_flight for name, b in backends.items()}
         self._slots: dict[str, queue.SimpleQueue] = {}
-        for name, b in backends.items():
+        for name, limit in self.max_in_flight.items():
             self._slots[name] = slots = queue.SimpleQueue()
-            for _ in range(b.config.max_in_flight):
+            for _ in range(limit):
                 slots.put(None)
         self.all_simulated = all(b.simulated for b in backends.values())
 

@@ -5,9 +5,18 @@ graphs without the router (no_gnn), fully connected execution (fcg), random
 model assignment (random_model), and a single-model chain-of-thought
 baseline (single_cot). Accuracy is averaged over seeded trials; wall time
 per question is the simulated critical path when every backend is a mock,
-or measured time otherwise. Every question's DAG is built once, before the
+or measured time otherwise, from when a worker starts the question, so time
+spent pending is not counted. Every question's DAG is built once, before the
 first seed runs; the router takes the questions in stacked chunks of
-ROUTE_CHUNK, so measured time never includes routing.
+ROUTE_CHUNK, so measured time never includes routing. Each question's models,
+and so the backends it calls, are chosen before any question runs.
+
+With parallelism above 1, a free worker takes the oldest pending question
+whose backends all have a free `max_in_flight` slot, looking no further than
+the DISPATCH_SCAN oldest, else the oldest pending one. Outcomes are reported
+in question order whichever order they ran in, so the report's bytes do not
+depend on it. Once a question raises, no further question starts, and the
+first error propagates once the questions in flight have finished.
 """
 
 from __future__ import annotations
@@ -17,7 +26,9 @@ import functools
 import json
 import json.encoder
 import logging
+import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -38,6 +49,11 @@ MODES = ("sdag", "no_gnn", "fcg", "random_model", "single_cot")
 # Questions per stacked router call. At the benchmark dims the routing time per
 # question stops falling at about this size; larger stacks only hold more memory.
 ROUTE_CHUNK = 32
+
+# A free worker looks at no more than this many of the oldest pending
+# questions for one whose backends are free, so taking a question costs the
+# same however many are pending.
+DISPATCH_SCAN = 16
 
 
 @dataclass(frozen=True)
@@ -193,7 +209,23 @@ def evaluate(
             )
         ]
 
-    def run_question(seed: int, index: int, record: QuestionRecord) -> QuestionOutcome:
+    def select(seed: int) -> list[dict]:
+        """Each question's subject -> model map: from the table, or in
+        random_model one seeded draw per subject; None in single_cot."""
+        if cfg.mode == "single_cot":
+            return [None] * len(records)
+        if cfg.mode != "random_model":
+            return [{s: table[s] for s in dag.subjects()} for dag in dags]
+        selections = []
+        for index, dag in enumerate(dags):
+            rng = np.random.default_rng([seed, index])
+            selections.append(
+                {s: model_ids[int(rng.integers(0, len(model_ids)))] for s in dag.subjects()}
+            )
+        return selections
+
+    def run_question(seed: int, index: int, selection: dict | None) -> QuestionOutcome:
+        record = records[index]
         started = time.monotonic()
         extra = _extra_metadata(record)
         if cfg.mode == "single_cot":
@@ -201,25 +233,15 @@ def evaluate(
                 record, single_cot_model, pool_backends[single_cot_model], client,
                 extra_metadata=extra,
             )
+        elif cfg.mode == "fcg":
+            trace = execute_fcg(
+                dags[index].nodes, record, selection, pool_backends, client,
+                extra_metadata=extra,
+            )
         else:
-            dag = dags[index]
-            subjects = dag.subjects()
-            if cfg.mode == "random_model":
-                rng = np.random.default_rng([seed, index])
-                selection = {
-                    s: model_ids[int(rng.integers(0, len(model_ids)))] for s in subjects
-                }
-            else:
-                selection = {s: table[s] for s in subjects}
-            if cfg.mode == "fcg":
-                trace = execute_fcg(
-                    dag.nodes, record, selection, pool_backends, client,
-                    extra_metadata=extra,
-                )
-            else:
-                trace = execute_dag(
-                    dag, record, selection, pool_backends, client, extra_metadata=extra
-                )
+            trace = execute_dag(
+                dags[index], record, selection, pool_backends, client, extra_metadata=extra
+            )
         wall = trace.wall_time if trace.simulated else time.monotonic() - started
         answer = trace.final_answer
         return QuestionOutcome(
@@ -241,16 +263,25 @@ def evaluate(
     for seed in range(cfg.seeds):
         if seed >= distinct_seeds:
             seed_outcomes = [dataclasses.replace(o, seed=seed) for o in outcomes[: len(records)]]
-        elif cfg.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as executor:
-                seed_outcomes = list(
-                    executor.map(
-                        lambda pair: run_question(seed, pair[0], pair[1]),
-                        enumerate(records),
-                    )
-                )
         else:
-            seed_outcomes = [run_question(seed, i, r) for i, r in enumerate(records)]
+            selections = select(seed)
+            if cfg.parallelism == 1:
+                seed_outcomes = [
+                    run_question(seed, i, selection) for i, selection in enumerate(selections)
+                ]
+            else:
+                if cfg.mode == "single_cot":
+                    needs = [(pool_backends[single_cot_model],)] * len(records)
+                else:
+                    # A model outside the pool fails when its question runs.
+                    needs = [
+                        tuple({pool_backends[m] for m in sel.values() if m in pool_backends})
+                        for sel in selections
+                    ]
+                seed_outcomes = _dispatch(
+                    lambda i: run_question(seed, i, selections[i]),
+                    needs, client.max_in_flight, cfg.parallelism,
+                )
         per_seed_accuracy.append(
             sum(1 for o in seed_outcomes if o.correct) / len(seed_outcomes)
         )
@@ -267,6 +298,65 @@ def evaluate(
         total_llm_calls=int(sum(o.llm_calls for o in outcomes)),
         outcomes=outcomes,
     )
+
+
+def _dispatch(run, needs: list[tuple[str, ...]], limits: dict[str, int],
+              workers: int) -> list:
+    """`[run(i) for i in range(len(needs))]`, run on `workers` threads.
+
+    `needs[i]` names the backends that question i calls, and `limits` gives
+    each backend's max_in_flight. Under one lock, a free worker takes the
+    oldest pending question whose backends all hold fewer reservations than
+    their limit, among the DISPATCH_SCAN oldest; if there is none, it takes
+    the oldest pending question. It reserves that question's backends until
+    the question returns. So a worker starts a question that can call at
+    once, not one that would wait at a gate held by another worker's
+    question. When every question needs the same backends, the order is
+    first in, first out.
+
+    Once a question raises, no worker starts another. Questions in flight
+    finish, and then the first error raised propagates unchanged.
+    """
+    results: list = [None] * len(needs)
+    pending = deque(range(len(needs)))
+    held = dict.fromkeys(limits, 0)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def take() -> int:
+        for place, i in zip(range(DISPATCH_SCAN), pending):
+            if all(held[b] < limits[b] for b in needs[i]):
+                break
+        else:
+            place, i = 0, pending[0]
+        del pending[place]
+        for b in needs[i]:
+            held[b] += 1
+        return i
+
+    def work() -> None:
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                i = take()
+            try:
+                results[i] = run(i)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+            finally:
+                with lock:
+                    for b in needs[i]:
+                        held[b] -= 1
+
+    workers = min(workers, len(needs))
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        for future in [executor.submit(work) for _ in range(workers)]:
+            future.result()
+    if errors:
+        raise errors[0]
+    return results
 
 
 _CONTAINERS = (dict, list, tuple)

@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import json
 import json.encoder
+import sys
+import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,19 +16,28 @@ from hypothesis import strategies as st
 
 import sdag.evaluation
 import sdag.router.model as model
-from conftest import live, make_profiling_records, oracle_client, oracle_pool
+from conftest import (
+    live,
+    make_profiling_records,
+    oracle_backend_configs,
+    oracle_client,
+    oracle_pool,
+)
+from sdag.backends import BackendConfig, ChatClient, ChatResponse
 from sdag.embedding import HashedEmbedder
-from sdag.errors import EmptySplit
+from sdag.errors import AuthError, EmptySplit
 from sdag.evaluation import (
     MODES,
     ROUTE_CHUNK,
     EvalConfig,
     EvalReport,
     _canonical_json,
+    _dispatch,
     evaluate,
     render_report,
 )
 from sdag.profiling import run_profiling
+from sdag.subjects import QuestionRecord, Subject
 from sdag.synthetic import SyntheticConfig, generate_synthetic_records
 
 
@@ -165,19 +177,6 @@ def test_no_gnn_oracle_accuracy_and_calls(oracle_store):
     assert client.counter.total == report.total_llm_calls // 2
     assert report.questions == len(records)
     assert len(report.outcomes) == 2 * len(records)
-
-
-def test_no_gnn_parallel_matches_serial(oracle_store):
-    records = eval_records()
-    serial = evaluate(
-        records, oracle_client(), oracle_pool(),
-        EvalConfig(mode="no_gnn", seeds=1, parallelism=1), store=oracle_store,
-    )
-    parallel = evaluate(
-        records, oracle_client(), oracle_pool(),
-        EvalConfig(mode="no_gnn", seeds=1, parallelism=4), store=oracle_store,
-    )
-    assert render_report(serial, "json") == render_report(parallel, "json")
 
 
 # -- fcg --------------------------------------------------------------------
@@ -379,6 +378,154 @@ def test_random_model_and_live_clients_run_every_seed(mode, live_client, monkeyp
     )
     assert sorted(calls) == sorted([r.id for r in records] * 3)
     assert client.counter.total == report.total_llm_calls
+
+
+# -- parallel dispatch ------------------------------------------------------
+
+
+def test_parallel_matches_serial_in_every_mode():
+    # random_model is the mode whose models are drawn per seed, so it runs
+    # two seeds: each question must get the same draw however it is run.
+    records, params, embedder, store = untrained_routing()
+    for mode in MODES:
+        reports = [
+            render_report(evaluate(
+                records, oracle_client(), oracle_pool(),
+                EvalConfig(mode=mode, seeds=2 if mode == "random_model" else 1,
+                           parallelism=parallelism),
+                params=params, embedder=embedder, store=store,
+            ), "json")
+            for parallelism in (1, 4)
+        ]
+        assert reports[0] == reports[1], mode
+
+
+class HookedBackend:
+    """A live backend with one slot per `max_in_flight`; each call first runs
+    `on_call` with its question id, then answers "<<A>>"."""
+
+    simulated = False
+
+    def __init__(self, name, on_call, max_in_flight):
+        self.config = BackendConfig(name=name, kind="mock", max_in_flight=max_in_flight)
+        self.on_call = on_call
+
+    def complete(self, req):
+        self.on_call(req.metadata["question_id"])
+        return ChatResponse("<<A>>", 0.0, 1, req.backend)
+
+
+def hooked_client(on_call, max_in_flight=1) -> ChatClient:
+    return ChatClient({
+        c.name: HookedBackend(c.name, on_call, max_in_flight) for c in oracle_backend_configs()
+    })
+
+
+def one_subject_record(question_id, subject):
+    return QuestionRecord(id=question_id, question=f"{subject.value} question",
+                          options=["yes", "no"], gold="A", subjects={subject: 1.0})
+
+
+def test_parallel_dispatch_starts_the_question_whose_backends_are_free(
+    oracle_store, monkeypatch
+):
+    # q0 and q1 call the math expert and q2 the biology expert, each with one
+    # slot. q0's call returns only once q2 has called, and q2's only once q0
+    # has finished, so the test hangs (until the timeouts fail it) unless a
+    # worker starts q2 while q0 holds the math expert.
+    records = [one_subject_record("q0", Subject.MATH), one_subject_record("q1", Subject.MATH),
+               one_subject_record("q2", Subject.BIOLOGY)]
+    events, lock = [], threading.Lock()
+    q2_called, q0_finished = threading.Event(), threading.Event()
+    real_execute = sdag.evaluation.execute_dag
+
+    def log(event):
+        with lock:
+            events.append(event)
+
+    def execute(dag, record, *args, **kwargs):
+        log(("start", record.id))
+        trace = real_execute(dag, record, *args, **kwargs)
+        log(("end", record.id))
+        if record.id == "q0":
+            q0_finished.set()
+        return trace
+
+    def on_call(question_id):
+        if question_id == "q0":
+            assert q2_called.wait(timeout=10), "q2 did not start while q0 held its expert"
+        elif question_id == "q2":
+            q2_called.set()
+            assert q0_finished.wait(timeout=10)
+
+    monkeypatch.setattr(sdag.evaluation, "execute_dag", execute)
+    report = evaluate(records, hooked_client(on_call), oracle_pool(),
+                      EvalConfig(mode="no_gnn", seeds=1, parallelism=2), store=oracle_store)
+    assert [o.question_id for o in report.outcomes] == ["q0", "q1", "q2"]
+    assert [r["backend"] for o in report.outcomes for r in o.trace] == [
+        "mock-math", "mock-math", "mock-biology"]
+    assert events.index(("start", "q2")) < events.index(("end", "q0"))
+    assert events.index(("start", "q1")) > events.index(("end", "q0"))
+
+
+def test_parallel_dispatch_stops_at_the_first_error(monkeypatch):
+    # Question 1 fails with a configuration error. The other questions' calls
+    # return only once it has raised, so the workers that are busy when it
+    # fails start at most one more question each, and no question starts
+    # after the failure is seen.
+    parallelism = 2
+    records = eval_records()
+    started, lock = [], threading.Lock()
+    failed = threading.Event()
+    error = AuthError("bad credentials")
+    real_metadata = sdag.evaluation._extra_metadata
+
+    def starting(record):
+        with lock:
+            started.append(record.id)
+        return real_metadata(record)
+
+    def on_call(question_id):
+        if question_id == records[1].id:
+            failed.set()
+            raise error
+        assert failed.wait(timeout=10)
+
+    monkeypatch.setattr(sdag.evaluation, "_extra_metadata", starting)
+    with pytest.raises(AuthError) as raised:
+        evaluate(records, hooked_client(on_call, max_in_flight=8), oracle_pool(),
+                 EvalConfig(mode="single_cot", seeds=1, parallelism=parallelism))
+    assert raised.value is error
+    assert records[1].id in started
+    assert len(started) - 1 - started.index(records[1].id) <= parallelism
+    assert len(started) < len(records)
+
+
+def test_dispatch_runs_every_question_once_under_contention():
+    # More workers than cores, one-slot backends shared unevenly, and a short
+    # switch interval: a lost update to the pending queue or the reservations
+    # would run a question twice, skip one or stall.
+    needs = [tuple({f"b{i % 3}", f"b{(7 * i) % 5}"}) for i in range(300)]
+    limits = {f"b{k}": 1 for k in range(5)}
+    runs, lock, results = Counter(), threading.Lock(), []
+
+    def run(i):
+        with lock:
+            runs[i] += 1
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: results.append(_dispatch(run, needs, limits, 8)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert results == [[i * i for i in range(300)]]
+    assert runs == Counter(range(300))
 
 
 # -- rendering --------------------------------------------------------------

@@ -9,7 +9,8 @@ or measured time otherwise, from when a worker starts the question, so time
 spent pending is not counted. Every question's DAG is built once, before the
 first seed runs; the router takes the questions in stacked chunks of
 ROUTE_CHUNK, so measured time never includes routing. Each question's models,
-and so the backends it calls, are chosen before any question runs.
+and so the backends it calls, are chosen before any question of its seed
+runs.
 
 With parallelism above 1, a free worker takes the oldest pending question
 whose backends all have a free `max_in_flight` slot, looking no further than

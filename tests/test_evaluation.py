@@ -401,7 +401,7 @@ def test_parallel_matches_serial_in_every_mode():
 
 
 class HookedBackend:
-    """A live backend with one slot per `max_in_flight`; each call first runs
+    """A live backend with `max_in_flight` slots; each call first runs
     `on_call` with its question id, then answers "<<A>>"."""
 
     simulated = False

@@ -18,6 +18,10 @@ the DISPATCH_SCAN oldest, else the oldest pending one. Outcomes are reported
 in question order whichever order they ran in, so the report's bytes do not
 depend on it. Once a question raises, no further question starts, and the
 first error propagates once the questions in flight have finished.
+
+With any live backend, the sdag, no_gnn, fcg and random_model plans of one
+`evaluate()` call share one node pool (`sdag.orchestrator.node_pool`), which
+is opened before the first question and shut down when the call returns.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ import numpy as np
 
 from .backends import ChatClient
 from .errors import EmptySplit
-from .orchestrator import ExecutionTrace, execute_dag, execute_fcg, execute_single_cot
+from .orchestrator import (
+    ExecutionTrace,
+    execute_dag,
+    execute_fcg,
+    execute_single_cot,
+    node_pool,
+)
 from .profiling import ModelPoolEntry, ProfileStore, check_pool_backends, selection_map
 from .router.generation import GenerationConfig, generate_sdag
 from .subjects import SUBJECTS, QuestionRecord, answer_key, build_ground_truth_dag
@@ -237,11 +247,12 @@ def evaluate(
         elif cfg.mode == "fcg":
             trace = execute_fcg(
                 dags[index].nodes, record, selection, pool_backends, client,
-                extra_metadata=extra,
+                extra_metadata=extra, executor=nodes,
             )
         else:
             trace = execute_dag(
-                dags[index], record, selection, pool_backends, client, extra_metadata=extra
+                dags[index], record, selection, pool_backends, client,
+                extra_metadata=extra, executor=nodes,
             )
         wall = trace.wall_time if trace.simulated else time.monotonic() - started
         answer = trace.final_answer
@@ -261,32 +272,43 @@ def evaluate(
     )
     outcomes: list[QuestionOutcome] = []
     per_seed_accuracy: list[float] = []
-    for seed in range(cfg.seeds):
-        if seed >= distinct_seeds:
-            seed_outcomes = [dataclasses.replace(o, seed=seed) for o in outcomes[: len(records)]]
-        else:
-            selections = select(seed)
-            if cfg.parallelism == 1:
+    # Live plans of several nodes share one node pool for the whole call.
+    nodes = (
+        node_pool(cfg.parallelism)
+        if not client.all_simulated and cfg.mode != "single_cot" else None
+    )
+    try:
+        for seed in range(cfg.seeds):
+            if seed >= distinct_seeds:
                 seed_outcomes = [
-                    run_question(seed, i, selection) for i, selection in enumerate(selections)
+                    dataclasses.replace(o, seed=seed) for o in outcomes[: len(records)]
                 ]
             else:
-                if cfg.mode == "single_cot":
-                    needs = [(pool_backends[single_cot_model],)] * len(records)
-                else:
-                    # A model outside the pool fails when its question runs.
-                    needs = [
-                        tuple({pool_backends[m] for m in sel.values() if m in pool_backends})
-                        for sel in selections
+                selections = select(seed)
+                if cfg.parallelism == 1:
+                    seed_outcomes = [
+                        run_question(seed, i, selection) for i, selection in enumerate(selections)
                     ]
-                seed_outcomes = _dispatch(
-                    lambda i: run_question(seed, i, selections[i]),
-                    needs, client.max_in_flight, cfg.parallelism,
-                )
-        per_seed_accuracy.append(
-            sum(1 for o in seed_outcomes if o.correct) / len(seed_outcomes)
-        )
-        outcomes.extend(seed_outcomes)
+                else:
+                    if cfg.mode == "single_cot":
+                        needs = [(pool_backends[single_cot_model],)] * len(records)
+                    else:
+                        # A model outside the pool fails when its question runs.
+                        needs = [
+                            tuple({pool_backends[m] for m in sel.values() if m in pool_backends})
+                            for sel in selections
+                        ]
+                    seed_outcomes = _dispatch(
+                        lambda i: run_question(seed, i, selections[i]),
+                        needs, client.max_in_flight, cfg.parallelism,
+                    )
+            per_seed_accuracy.append(
+                sum(1 for o in seed_outcomes if o.correct) / len(seed_outcomes)
+            )
+            outcomes.extend(seed_outcomes)
+    finally:
+        if nodes is not None:
+            nodes.shutdown()
 
     return EvalReport(
         mode=cfg.mode,

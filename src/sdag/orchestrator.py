@@ -13,9 +13,16 @@ order on the caller's thread, each over its dependencies' finished trace
 records: plan order is topological, mock replies and latencies are pure
 functions of the request, and start times come from the dependencies'
 simulated finish times, so the trace is the one a concurrent run would give.
-With any live backend, a plan of several nodes gives every node a thread of
-its own, so nodes with satisfied dependencies run concurrently; a one-node
-plan runs on the caller's thread.
+A one-node plan runs in the same loop.
+
+With any live backend, a plan of several nodes is ready-driven: a node
+starts once its last dependency has finished, so no thread ever waits on a
+dependency. The caller's thread runs one source node and hands the other
+sources to a node pool; whichever thread finishes a node runs one of the
+dependents that became ready itself and hands the rest to the pool. The
+pool belongs to the caller: `evaluate()` opens one per call (see
+`node_pool`) and passes it to every plan, and a call without one, such as
+`sdag run`, builds one for that plan alone.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ import json
 import logging
 import re
 import string
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +42,7 @@ from typing import NamedTuple
 from .backends import ChatClient, ChatRequest
 from .errors import RoleInputMismatch, TransportError
 from .fileio import atomic_writer
-from .subjects import SUBJECTS, QuestionRecord, SDag, SDagNode, Subject
+from .subjects import MAX_DAG_NODES, SUBJECTS, QuestionRecord, SDag, SDagNode, Subject
 
 logger = logging.getLogger(__name__)
 
@@ -353,15 +361,90 @@ def _call_node(client: ChatClient, node: _PlanNode, done: list[tuple[Subject, Tr
                        start + latency if t0 is None else time.monotonic() - t0)
 
 
-def _await_and_call(client: ChatClient, node: _PlanNode,
-                    upstream: list[tuple[Subject, Future]], metadata: dict,
-                    t0: float) -> TraceRecord:
-    """A live node's thread: wait for every dependency, then make the call."""
-    return _call_node(client, node, [(s, f.result()) for s, f in upstream], metadata, t0)
+def node_pool(plans_at_once: int) -> ThreadPoolExecutor:
+    """A pool for live plans of which at most `plans_at_once` run at a time.
+
+    No valid plan is wider than MAX_DAG_NODES, so this many workers never
+    leave a ready node queued; since no node waits on a dependency, a smaller
+    pool only queues ready nodes and cannot deadlock. Workers start on demand.
+    """
+    return ThreadPoolExecutor(max_workers=plans_at_once * MAX_DAG_NODES,
+                              thread_name_prefix="sdag-node")
+
+
+def _run_ready(plan: list[_PlanNode], metadata: list[dict], client: ChatClient, t0: float,
+               executor: Executor) -> list[TraceRecord]:
+    """Run a live plan, each node once its last dependency has finished.
+
+    The caller's thread runs the first source and hands the others to
+    `executor`. A thread that finishes a node runs the first dependent that
+    became ready and hands the rest to `executor`, so no thread ever waits on
+    a dependency. Once a node raises, no further node starts; nodes in
+    flight finish, and then the first error propagates unchanged.
+    """
+    dependents: list[list[int]] = [[] for _ in plan]
+    for i, node in enumerate(plan):
+        for d in node.deps:
+            dependents[d].append(i)
+    waiting = [len(node.deps) for node in plan]
+    records: list = [None] * len(plan)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    settled = threading.Event()
+    active = 0  # nodes started or queued that have not finished
+
+    def finish(ready: list[int]) -> None:
+        """Count one node finished and `ready` started; wake the caller at 0."""
+        nonlocal active
+        active += len(ready) - 1
+        if not active:
+            settled.set()
+
+    def start(nodes: list[int]) -> None:
+        for j in nodes:
+            try:
+                executor.submit(run, j)
+            except BaseException as exc:  # a shut-down executor
+                with lock:
+                    errors.append(exc)
+                    finish([])
+
+    def run(i: int) -> None:
+        while True:
+            if not errors:  # a node queued before a failure makes no call
+                node = plan[i]
+                done = [(plan[d].subject, records[d]) for d in node.deps]
+                try:
+                    records[i] = _call_node(client, node, done, metadata[i], t0)
+                except BaseException as exc:
+                    with lock:
+                        errors.append(exc)
+            with lock:
+                ready = []
+                if not errors:
+                    for j in dependents[i]:
+                        waiting[j] -= 1
+                        if not waiting[j]:
+                            ready.append(j)
+                finish(ready)
+            if not ready:
+                return
+            i = ready[0]
+            start(ready[1:])
+
+    sources = [i for i, node in enumerate(plan) if not node.deps]
+    active = len(sources)
+    start(sources[1:])
+    run(sources[0])
+    settled.wait()
+    if errors:
+        raise errors[0]
+    return records
 
 
 def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRecord | str,
-              client: ChatClient, extra_metadata: dict | None) -> ExecutionTrace:
+              client: ChatClient, extra_metadata: dict | None,
+              executor: Executor | None) -> ExecutionTrace:
     """Run every plan node once after its dependencies; answer from plan[final].
 
     Simulated clients, and live ones on a one-node plan, run the nodes in a
@@ -370,11 +453,11 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
     dependencies have finished and the trace matches a concurrent run. The
     first node that raises ends the plan, and later nodes make no call.
 
-    Live clients on a plan of several nodes get one thread per node, with
-    nodes submitted in plan order, so a worker only ever blocks on
-    dependencies that already hold threads of their own. When a node raises,
-    its dependents never call, while calls already in flight on the other
-    nodes still finish before the error propagates.
+    Live clients on a plan of several nodes run ready-driven (`_run_ready`)
+    on `executor`, or on a pool built for this plan when it is None. Once a
+    node raises, no further node starts, not even one on an independent
+    branch; calls already in flight finish, and then the first error
+    propagates unchanged.
     """
     unknown = [n.backend for n in plan if n.backend not in client.backends]
     if unknown:
@@ -393,13 +476,11 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
         for node, meta in zip(plan, metadata):
             done = [(plan[i].subject, records[i]) for i in node.deps]
             records.append(_call_node(client, node, done, meta, t0))
+    elif executor is None:
+        with node_pool(1) as own:
+            records = _run_ready(plan, metadata, client, t0, own)
     else:
-        with ThreadPoolExecutor(max_workers=len(plan)) as pool:
-            futures: list[Future] = []
-            for node, meta in zip(plan, metadata):
-                upstream = [(plan[i].subject, futures[i]) for i in node.deps]
-                futures.append(pool.submit(_await_and_call, client, node, upstream, meta, t0))
-            records = [f.result() for f in futures]
+        records = _run_ready(plan, metadata, client, t0, executor)
     answer = records[final]
     return ExecutionTrace(
         mode=mode,
@@ -435,8 +516,13 @@ def execute_dag(
     pool_backends: dict[str, str],
     client: ChatClient,
     extra_metadata: dict | None = None,
+    executor: Executor | None = None,
 ) -> ExecutionTrace:
-    """Run each node once after its dependencies; one LLM call per node."""
+    """Run each node once after its dependencies; one LLM call per node.
+
+    A live plan of several nodes runs on `executor` (see `node_pool`), or on
+    a pool built for this call when it is None.
+    """
     missing = [n.subject.value for n in g.nodes if n.subject not in selection]
     if missing:
         raise ValueError(f"selection covers no model for: {missing}")
@@ -452,7 +538,8 @@ def execute_dag(
         plan.append(_PlanNode(s, _NAME[s], _ROLE_NAME[roles[s]], 0, model_id, backend, deps,
                               roles[s] if deps else _EXPERT, q_text,
                               True if s is final_subject else None))
-    return _run_plan("sdag", plan, position[final_subject], question, client, extra_metadata)
+    return _run_plan("sdag", plan, position[final_subject], question, client, extra_metadata,
+                     executor)
 
 
 def execute_fcg(
@@ -462,11 +549,13 @@ def execute_fcg(
     pool_backends: dict[str, str],
     client: ChatClient,
     extra_metadata: dict | None = None,
+    executor: Executor | None = None,
 ) -> ExecutionTrace:
     """Fully connected baseline: answer round then revision round, 2n calls.
 
     Every round-2 node depends on every round-1 node, its own included, so
-    the revision round starts at the round-1 barrier.
+    the revision round starts at the round-1 barrier. `executor` is as in
+    execute_dag.
     """
     if not nodes:
         raise ValueError("fully connected execution needs at least one node")
@@ -493,7 +582,7 @@ def execute_fcg(
         for s, name, model_id, backend in resolved
     ]
     final = len(subjects) + subjects.index(final_subject)
-    return _run_plan("fcg", plan, final, question, client, extra_metadata)
+    return _run_plan("fcg", plan, final, question, client, extra_metadata, executor)
 
 
 def execute_single_cot(
@@ -506,4 +595,4 @@ def execute_single_cot(
     """One chain-of-thought call with the baseline prompt."""
     prompt = render_single_cot_prompt(question)
     plan = [_PlanNode(None, "", "SingleCoT", 0, model_id, backend, (), None, prompt)]
-    return _run_plan("single_cot", plan, 0, question, client, extra_metadata)
+    return _run_plan("single_cot", plan, 0, question, client, extra_metadata, None)

@@ -90,8 +90,8 @@ class LiveMock:
 
 
 def live(client: ChatClient) -> ChatClient:
-    """A client over the same mocks, each reporting itself live, so plans
-    take the one-thread-per-node schedule."""
+    """A client over the same mocks, each reporting itself live, so plans of
+    several nodes take the ready-driven schedule."""
     return ChatClient({name: LiveMock(b) for name, b in client.backends.items()})
 
 

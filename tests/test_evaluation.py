@@ -7,6 +7,7 @@ import json.encoder
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdag.evaluation
+import sdag.orchestrator
 import sdag.router.model as model
 from conftest import (
     live,
@@ -37,7 +39,7 @@ from sdag.evaluation import (
     render_report,
 )
 from sdag.profiling import run_profiling
-from sdag.subjects import QuestionRecord, Subject
+from sdag.subjects import MAX_DAG_NODES, QuestionRecord, Subject
 from sdag.synthetic import SyntheticConfig, generate_synthetic_records
 
 
@@ -526,6 +528,86 @@ def test_dispatch_runs_every_question_once_under_contention():
     assert not worker.is_alive()
     assert results == [[i * i for i in range(300)]]
     assert runs == Counter(range(300))
+
+
+# -- node pool --------------------------------------------------------------
+
+
+def count_node_pools(monkeypatch) -> list:
+    built = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sdag.orchestrator, "ThreadPoolExecutor", CountedPool)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["sdag", "fcg"])
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_live_evaluate_builds_one_node_pool_per_call(mode, parallelism, monkeypatch):
+    records, params, embedder, store = untrained_routing()
+    built = count_node_pools(monkeypatch)
+    for n in (1, len(records)):
+        built.clear()
+        report = evaluate(
+            records[:n], live(oracle_client()), oracle_pool(),
+            EvalConfig(mode=mode, seeds=2, parallelism=parallelism),
+            params=params, embedder=embedder, store=store,
+        )
+        assert len(report.outcomes) == 2 * n
+        assert built == [parallelism * MAX_DAG_NODES]
+    built.clear()
+    evaluate(records, oracle_client(), oracle_pool(),
+             EvalConfig(mode=mode, seeds=2, parallelism=parallelism),
+             params=params, embedder=embedder, store=store)
+    assert built == []
+
+
+class CountingLive:
+    """A live backend over a mock that counts each (question id, prompt)."""
+
+    simulated = False
+
+    def __init__(self, mock, calls, lock):
+        self.mock, self.config, self.calls, self.lock = mock, mock.config, calls, lock
+
+    def complete(self, req):
+        with self.lock:
+            self.calls[req.metadata["question_id"], req.user] += 1
+        return self.mock.complete(req)
+
+
+def test_live_plans_call_every_node_once_under_contention(oracle_store):
+    # 200 fully connected plans on 8 dispatch workers and one shared node
+    # pool, with a short switch interval: a lost update to a plan's
+    # dependency counts would call a node twice, skip one or stall.
+    records = generate_synthetic_records(SyntheticConfig(n_questions=200, seed=5))
+    cfg = EvalConfig(mode="fcg", seeds=1, parallelism=8)
+    expected = evaluate(records, oracle_client(), oracle_pool(), cfg, store=oracle_store)
+    calls, lock, reports = Counter(), threading.Lock(), []
+    client = ChatClient({name: CountingLive(b, calls, lock)
+                         for name, b in oracle_client().backends.items()})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: reports.append(
+            evaluate(records, client, oracle_pool(), cfg, store=oracle_store)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    [report] = reports
+    assert calls == Counter(
+        (o.question_id, r["prompt"]) for o in expected.outcomes for r in o.trace)
+    assert [(o.question_id, o.answer, [(r["subject"], r["prompt"]) for r in o.trace])
+            for o in report.outcomes] == [
+        (o.question_id, o.answer, [(r["subject"], r["prompt"]) for r in o.trace])
+        for o in expected.outcomes]
 
 
 # -- rendering --------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -486,6 +487,75 @@ def test_simulated_plans_build_no_thread_pool(monkeypatch):
     single = SDag(nodes=[SDagNode(M, 1.0)], edges=[])
     trace = execute_dag(single, "Q?", selection, backends, live(echo_client()))
     assert trace.llm_calls == 1 and not trace.simulated
+
+
+class SubjectHookBackend:
+    """Live backend that runs `on_call` with each call's subject, then
+    answers "<<A>>"."""
+
+    config = BackendConfig(name="live", kind="mock")
+    simulated = False
+
+    def __init__(self, on_call):
+        self.on_call = on_call
+
+    def complete(self, req):
+        self.on_call(req.metadata["subject"])
+        return ChatResponse(text="<<A>>", latency=0.0, attempts=1, backend="live")
+
+
+def test_live_plan_stops_at_the_first_error():
+    # Two branches, Math -> Physics and Chemistry -> Biology. The caller's
+    # thread runs Math, the first source; Chemistry runs on the pool's one
+    # worker and raises once Math has started. Math's call returns only once
+    # Chemistry has raised and its worker has taken the next task, so Physics
+    # could start after the failure; it must not.
+    g = SDag(
+        nodes=[SDagNode(M, 0.3), SDagNode(P, 0.3), SDagNode(C, 0.2), SDagNode(B, 0.2)],
+        edges=[SDagEdge(M, P, 1.0), SDagEdge(C, B, 1.0)],
+    )
+    error = AuthError("bad credentials")
+    math_started, raised = threading.Event(), threading.Event()
+    called, math_threads = [], []
+    pool = ThreadPoolExecutor(max_workers=1)
+
+    def on_call(subject):
+        called.append(subject)
+        if subject == "Chemistry":
+            assert math_started.wait(timeout=10)
+            raised.set()
+            raise error
+        if subject == "Math":
+            math_threads.append(threading.current_thread())
+            math_started.set()
+            assert raised.wait(timeout=10)
+            pool.submit(lambda: None).result(timeout=10)
+
+    selection = {s: f"model-{s.value.lower()}" for s in (M, P, C, B)}
+    backends = {m: "live" for m in selection.values()}
+    client = ChatClient({"live": SubjectHookBackend(on_call)})
+    with pool, pytest.raises(AuthError) as raised_error:
+        execute_dag(g, "Q?", selection, backends, client, executor=pool)
+    assert raised_error.value is error
+    assert math_threads == [threading.current_thread()]
+    assert sorted(called) == ["Chemistry", "Math"]
+
+
+def test_live_fcg_wider_than_its_pool_matches_simulated():
+    # Five round-one nodes and five revisions on one worker: ready nodes
+    # queue, and since no node waits on a dependency, none can deadlock.
+    subjects = [M, P, C, B, Subject.LAW]
+    nodes = [SDagNode(s, 0.1 * (i + 1)) for i, s in enumerate(subjects)]
+    selection, backends = pool_for(subjects)
+    simulated = execute_fcg(nodes, "Q?", selection, backends, echo_client())
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        trace = execute_fcg(nodes, "Q?", selection, backends, live(echo_client()),
+                            executor=pool)
+    assert not trace.simulated and trace.llm_calls == 10
+    assert [(r.subject, r.role, r.prompt, r.reply) for r in trace.records] == [
+        (r.subject, r.role, r.prompt, r.reply) for r in simulated.records]
+    assert (trace.final_answer, trace.final_subject) == (
+        simulated.final_answer, simulated.final_subject)
 
 
 def test_execute_dag_missing_selection():

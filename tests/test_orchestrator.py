@@ -558,6 +558,44 @@ def test_live_fcg_wider_than_its_pool_matches_simulated():
         simulated.final_answer, simulated.final_subject)
 
 
+class RefusingPool(ThreadPoolExecutor):
+    """A pool that refuses every task after its first `accept`, as a shut-down
+    pool does."""
+
+    def __init__(self, accept):
+        super().__init__(max_workers=2)
+        self.accept = accept
+
+    def submit(self, fn, /, *args, **kwargs):
+        if not self.accept:
+            raise RuntimeError("cannot schedule new futures after shutdown")
+        self.accept -= 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("accept", [0, 1])
+def test_live_plan_fails_when_its_pool_refuses_a_node(accept):
+    # accept=0: the caller's first hand-off fails; accept=1: a worker's
+    # hand-off of a revision fails. Either way the plan raises, not hangs.
+    nodes = list(chain_dag().nodes)
+    selection, backends = pool_for([P, M])
+    errors = []
+
+    def run():
+        with RefusingPool(accept) as pool:
+            try:
+                execute_fcg(nodes, "Q?", selection, backends, live(echo_client()),
+                            executor=pool)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert [str(e) for e in errors] == ["cannot schedule new futures after shutdown"]
+
+
 def test_execute_dag_missing_selection():
     g = chain_dag()
     with pytest.raises(ValueError):

@@ -247,12 +247,12 @@ def evaluate(
         elif cfg.mode == "fcg":
             trace = execute_fcg(
                 dags[index].nodes, record, selection, pool_backends, client,
-                extra_metadata=extra, executor=nodes,
+                extra_metadata=extra, executor=executor,
             )
         else:
             trace = execute_dag(
                 dags[index], record, selection, pool_backends, client,
-                extra_metadata=extra, executor=nodes,
+                extra_metadata=extra, executor=executor,
             )
         wall = trace.wall_time if trace.simulated else time.monotonic() - started
         answer = trace.final_answer
@@ -273,7 +273,7 @@ def evaluate(
     outcomes: list[QuestionOutcome] = []
     per_seed_accuracy: list[float] = []
     # Live plans of several nodes share one node pool for the whole call.
-    nodes = (
+    executor = (
         node_pool(cfg.parallelism)
         if not client.all_simulated and cfg.mode != "single_cot" else None
     )
@@ -307,8 +307,8 @@ def evaluate(
             )
             outcomes.extend(seed_outcomes)
     finally:
-        if nodes is not None:
-            nodes.shutdown()
+        if executor is not None:
+            executor.shutdown()
 
     return EvalReport(
         mode=cfg.mode,

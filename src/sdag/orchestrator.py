@@ -404,7 +404,7 @@ def _run_ready(plan: list[_PlanNode], metadata: list[dict], client: ChatClient, 
         for j in nodes:
             try:
                 executor.submit(run, j)
-            except BaseException as exc:  # a shut-down executor
+            except RuntimeError as exc:  # the executor is shut down
                 with lock:
                     errors.append(exc)
                     finish([])

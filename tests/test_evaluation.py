@@ -19,6 +19,7 @@ import sdag.evaluation
 import sdag.orchestrator
 import sdag.router.model as model
 from conftest import (
+    LiveMock,
     live,
     make_profiling_records,
     oracle_backend_configs,
@@ -566,18 +567,17 @@ def test_live_evaluate_builds_one_node_pool_per_call(mode, parallelism, monkeypa
     assert built == []
 
 
-class CountingLive:
+class CountingLive(LiveMock):
     """A live backend over a mock that counts each (question id, prompt)."""
 
-    simulated = False
-
     def __init__(self, mock, calls, lock):
-        self.mock, self.config, self.calls, self.lock = mock, mock.config, calls, lock
+        super().__init__(mock)
+        self.calls, self.lock = calls, lock
 
     def complete(self, req):
         with self.lock:
             self.calls[req.metadata["question_id"], req.user] += 1
-        return self.mock.complete(req)
+        return super().complete(req)
 
 
 def test_live_plans_call_every_node_once_under_contention(oracle_store):

@@ -278,11 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test")
     p.add_argument("--seeds", type=_COUNT, default=3)
     p.add_argument("--parallelism", type=_COUNT, default=1,
-                   help="questions run at once; a free worker takes the oldest pending "
-                        "question whose backends all have a free max_in_flight slot, "
-                        "else the oldest. Report order and bytes do not depend on it. "
-                        "The first error stops dispatch and is raised once the "
-                        "questions in flight finish")
+                   help="questions run at once; the report does not depend on it")
     p.add_argument("--single-cot-model", help="pool model id for single_cot mode")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--format", choices=["text", "json"], default="text")

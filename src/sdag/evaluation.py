@@ -19,9 +19,12 @@ in question order whichever order they ran in, so the report's bytes do not
 depend on it. Once a question raises, no further question starts, and the
 first error propagates once the questions in flight have finished.
 
-With any live backend, the sdag, no_gnn, fcg and random_model plans of one
-`evaluate()` call share one node pool (`sdag.orchestrator.node_pool`), which
-is opened before the first question and shut down when the call returns.
+Each `evaluate()` call owns at most one thread pool, built only when a
+question needs a thread: with parallelism above 1, or with a live backend in
+any mode but single_cot. The question workers besides the caller's thread
+and the nodes of live plans share it. Each question in flight holds one
+thread that waits on its plan, plus at most MAX_DAG_NODES running nodes, so
+the pool has parallelism x (MAX_DAG_NODES + 1) - 1 workers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -47,11 +50,10 @@ from .orchestrator import (
     execute_dag,
     execute_fcg,
     execute_single_cot,
-    node_pool,
 )
 from .profiling import ModelPoolEntry, ProfileStore, check_pool_backends, selection_map
 from .router.generation import GenerationConfig, generate_sdag
-from .subjects import SUBJECTS, QuestionRecord, answer_key, build_ground_truth_dag
+from .subjects import MAX_DAG_NODES, SUBJECTS, QuestionRecord, answer_key, build_ground_truth_dag
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +186,9 @@ def evaluate(
         _require(all(r.subjects for r in records), "no_gnn mode needs subject annotations")
     if cfg.mode == "fcg":
         _require(store is not None, "fcg mode needs capability profiles")
+    if cfg.mode in ("fcg", "random_model") and uses_router:
+        _require(embedder is not None,
+                 f"{cfg.mode} mode with a router checkpoint needs its embedder")
     if cfg.mode == "random_model" and not uses_router:
         _require(
             all(r.subjects for r in records),
@@ -272,10 +277,10 @@ def evaluate(
     )
     outcomes: list[QuestionOutcome] = []
     per_seed_accuracy: list[float] = []
-    # Live plans of several nodes share one node pool for the whole call.
+    live_plans = not client.all_simulated and cfg.mode != "single_cot"
     executor = (
-        node_pool(cfg.parallelism)
-        if not client.all_simulated and cfg.mode != "single_cot" else None
+        ThreadPoolExecutor(max_workers=cfg.parallelism * (MAX_DAG_NODES + 1) - 1)
+        if cfg.parallelism > 1 or live_plans else None
     )
     try:
         for seed in range(cfg.seeds):
@@ -300,7 +305,7 @@ def evaluate(
                         ]
                     seed_outcomes = _dispatch(
                         lambda i: run_question(seed, i, selections[i]),
-                        needs, client.max_in_flight, cfg.parallelism,
+                        needs, client.max_in_flight, cfg.parallelism, executor,
                     )
             per_seed_accuracy.append(
                 sum(1 for o in seed_outcomes if o.correct) / len(seed_outcomes)
@@ -324,8 +329,10 @@ def evaluate(
 
 
 def _dispatch(run, needs: list[tuple[str, ...]], limits: dict[str, int],
-              workers: int) -> list:
-    """`[run(i) for i in range(len(needs))]`, run on `workers` threads.
+              workers: int, executor: Executor) -> list:
+    """`[run(i) for i in range(len(needs))]`, run by `workers` worker loops:
+    one on the caller's thread and the rest on `executor`, but no more loops
+    than questions.
 
     `needs[i]` names the backends that question i calls, and `limits` gives
     each backend's max_in_flight. Under one lock, a free worker takes the
@@ -373,10 +380,10 @@ def _dispatch(run, needs: list[tuple[str, ...]], limits: dict[str, int],
                     for b in needs[i]:
                         held[b] -= 1
 
-    workers = min(workers, len(needs))
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for future in [executor.submit(work) for _ in range(workers)]:
-            future.result()
+    loops = [executor.submit(work) for _ in range(min(workers, len(needs)) - 1)]
+    work()
+    for loop in loops:
+        loop.result()
     if errors:
         raise errors[0]
     return results

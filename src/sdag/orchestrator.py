@@ -18,11 +18,11 @@ A one-node plan runs in the same loop.
 With any live backend, a plan of several nodes is ready-driven: a node
 starts once its last dependency has finished, so no thread ever waits on a
 dependency. The caller's thread runs one source node and hands the other
-sources to a node pool; whichever thread finishes a node runs one of the
-dependents that became ready itself and hands the rest to the pool. The
-pool belongs to the caller: `evaluate()` opens one per call (see
-`node_pool`) and passes it to every plan, and a call without one, such as
-`sdag run`, builds one for that plan alone.
+sources to a thread pool; whichever thread finishes a node runs one of the
+dependents that became ready itself and hands the rest to the pool. The pool
+belongs to the caller: `evaluate()` passes every plan the one pool it builds
+per call, which also runs its question workers, and a call without one, such
+as `sdag run`, builds a pool of MAX_DAG_NODES workers for that plan alone.
 """
 
 from __future__ import annotations
@@ -361,17 +361,6 @@ def _call_node(client: ChatClient, node: _PlanNode, done: list[tuple[Subject, Tr
                        start + latency if t0 is None else time.monotonic() - t0)
 
 
-def node_pool(plans_at_once: int) -> ThreadPoolExecutor:
-    """A pool for live plans of which at most `plans_at_once` run at a time.
-
-    No valid plan is wider than MAX_DAG_NODES, so this many workers never
-    leave a ready node queued; since no node waits on a dependency, a smaller
-    pool only queues ready nodes and cannot deadlock. Workers start on demand.
-    """
-    return ThreadPoolExecutor(max_workers=plans_at_once * MAX_DAG_NODES,
-                              thread_name_prefix="sdag-node")
-
-
 def _run_ready(plan: list[_PlanNode], metadata: list[dict], client: ChatClient, t0: float,
                executor: Executor) -> list[TraceRecord]:
     """Run a live plan, each node once its last dependency has finished.
@@ -477,7 +466,7 @@ def _run_plan(mode: str, plan: list[_PlanNode], final: int, question: QuestionRe
             done = [(plan[i].subject, records[i]) for i in node.deps]
             records.append(_call_node(client, node, done, meta, t0))
     elif executor is None:
-        with node_pool(1) as own:
+        with ThreadPoolExecutor(max_workers=MAX_DAG_NODES) as own:
             records = _run_ready(plan, metadata, client, t0, own)
     else:
         records = _run_ready(plan, metadata, client, t0, executor)
@@ -520,8 +509,9 @@ def execute_dag(
 ) -> ExecutionTrace:
     """Run each node once after its dependencies; one LLM call per node.
 
-    A live plan of several nodes runs on `executor` (see `node_pool`), or on
-    a pool built for this call when it is None.
+    A live plan of several nodes runs on `executor`, the caller's thread pool
+    (`evaluate()` passes the one it builds per call), or on a pool of
+    MAX_DAG_NODES workers built for this call when it is None.
     """
     missing = [n.subject.value for n in g.nodes if n.subject not in selection]
     if missing:

@@ -97,6 +97,11 @@ def test_mode_requirements(oracle_store):
             records, client, pool,
             EvalConfig(mode="single_cot", single_cot_model="missing-model"),
         )
+    params = model.init_params(model.RouterDims(d_s=8, d_q=16, h=8, L=1), seed=0)
+    for mode in ("fcg", "random_model"):
+        with pytest.raises(ValueError, match="embedder"):
+            evaluate(records, client, pool, EvalConfig(mode=mode), params=params,
+                     store=oracle_store)
 
 
 def test_empty_inputs(oracle_store):
@@ -520,10 +525,11 @@ def test_dispatch_runs_every_question_once_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(
-            target=lambda: results.append(_dispatch(run, needs, limits, 8)))
-        worker.start()
-        worker.join(timeout=60)
+        with ThreadPoolExecutor(max_workers=7) as pool:
+            worker = threading.Thread(
+                target=lambda: results.append(_dispatch(run, needs, limits, 8, pool)))
+            worker.start()
+            worker.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
@@ -531,18 +537,22 @@ def test_dispatch_runs_every_question_once_under_contention():
     assert runs == Counter(range(300))
 
 
-# -- node pool --------------------------------------------------------------
+# -- thread pool ------------------------------------------------------------
 
 
-def count_node_pools(monkeypatch) -> list:
-    built = []
+def count_pools(monkeypatch) -> dict[str, list]:
+    """The max_workers of each pool built through each module's
+    ThreadPoolExecutor, by module name."""
+    built = {}
+    for module in (sdag.evaluation, sdag.orchestrator):
+        sizes = built[module.__name__] = []
 
-    class CountedPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, sizes=sizes, **kwargs):
+                sizes.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sdag.orchestrator, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(module, "ThreadPoolExecutor", CountedPool)
     return built
 
 
@@ -550,21 +560,37 @@ def count_node_pools(monkeypatch) -> list:
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_live_evaluate_builds_one_node_pool_per_call(mode, parallelism, monkeypatch):
     records, params, embedder, store = untrained_routing()
-    built = count_node_pools(monkeypatch)
-    for n in (1, len(records)):
-        built.clear()
+    built = count_pools(monkeypatch)
+    for seeds, n in ((1, 1), (1, len(records)), (3, 1), (3, len(records))):
+        for sizes in built.values():
+            sizes.clear()
         report = evaluate(
             records[:n], live(oracle_client()), oracle_pool(),
-            EvalConfig(mode=mode, seeds=2, parallelism=parallelism),
+            EvalConfig(mode=mode, seeds=seeds, parallelism=parallelism),
             params=params, embedder=embedder, store=store,
         )
-        assert len(report.outcomes) == 2 * n
-        assert built == [parallelism * MAX_DAG_NODES]
-    built.clear()
+        assert len(report.outcomes) == seeds * n
+        assert built == {"sdag.evaluation": [parallelism * (MAX_DAG_NODES + 1) - 1],
+                         "sdag.orchestrator": []}
+    for sizes in built.values():
+        sizes.clear()
     evaluate(records, oracle_client(), oracle_pool(),
-             EvalConfig(mode=mode, seeds=2, parallelism=parallelism),
+             EvalConfig(mode=mode, seeds=3, parallelism=1),
              params=params, embedder=embedder, store=store)
-    assert built == []
+    assert built == {"sdag.evaluation": [], "sdag.orchestrator": []}
+
+
+def test_dispatch_submits_no_more_loops_than_questions():
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    with CountingPool(max_workers=7) as pool:
+        assert _dispatch(lambda i: -i, [("b",)] * 3, {"b": 1}, 8, pool) == [0, -1, -2]
+    assert len(submitted) == 2
 
 
 class CountingLive(LiveMock):

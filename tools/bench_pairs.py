@@ -75,14 +75,20 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _compare(pairs: list[tuple[float, float]], better: str) -> tuple[list, list, int]:
+    """Each side's quartiles over (parent, change) pairs, and how many pairs
+    the change won; ties count for neither side."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    return _quartiles([p for p, _ in pairs]), _quartiles([c for _, c in pairs]), wins
+
+
 def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
     """The verdict on one metric's (parent, change) pairs; see WHAT."""
     sign = 1 if better == "higher" else -1
-    parent_q = _quartiles([p for p, _ in pairs])
-    change_q = _quartiles([c for _, c in pairs])
+    parent_q, change_q, wins = _compare(pairs, better)
     iqr = parent_q[2] - parent_q[0]
     gained = sign * (change_q[1] - parent_q[1])
-    wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
     if 10 * wins >= 9 * len(pairs) and gained > iqr:
         return "gain"
     if -gained > bound * abs(parent_q[1]):
@@ -118,10 +124,7 @@ def summarize(runs: list[dict], better: dict[str, str],
         ]
         if not pairs:
             continue
-        parent_q = _quartiles([p for p, _ in pairs])
-        change_q = _quartiles([c for _, c in pairs])
-        sign = 1 if better[name] == "higher" else -1
-        wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+        parent_q, change_q, wins = _compare(pairs, better[name])
         summary["metrics"][name] = {
             "better": better[name],
             "parent_q1_median_q3": [round(v, 4) for v in parent_q],

@@ -540,16 +540,17 @@ def test_dispatch_runs_every_question_once_under_contention():
 # -- thread pool ------------------------------------------------------------
 
 
-def count_pools(monkeypatch) -> dict[str, list]:
-    """The max_workers of each pool built through each module's
-    ThreadPoolExecutor, by module name."""
-    built = {}
+def count_pools(monkeypatch) -> list:
+    """(module name, max_workers) of each pool built through the
+    ThreadPoolExecutor of sdag.evaluation or sdag.orchestrator."""
+    built = []
     for module in (sdag.evaluation, sdag.orchestrator):
-        sizes = built[module.__name__] = []
 
         class CountedPool(ThreadPoolExecutor):
-            def __init__(self, *args, sizes=sizes, **kwargs):
-                sizes.append(kwargs.get("max_workers"))
+            owner = module.__name__
+
+            def __init__(self, *args, **kwargs):
+                built.append((self.owner, kwargs.get("max_workers")))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(module, "ThreadPoolExecutor", CountedPool)
@@ -562,22 +563,19 @@ def test_live_evaluate_builds_one_node_pool_per_call(mode, parallelism, monkeypa
     records, params, embedder, store = untrained_routing()
     built = count_pools(monkeypatch)
     for seeds, n in ((1, 1), (1, len(records)), (3, 1), (3, len(records))):
-        for sizes in built.values():
-            sizes.clear()
+        built.clear()
         report = evaluate(
             records[:n], live(oracle_client()), oracle_pool(),
             EvalConfig(mode=mode, seeds=seeds, parallelism=parallelism),
             params=params, embedder=embedder, store=store,
         )
         assert len(report.outcomes) == seeds * n
-        assert built == {"sdag.evaluation": [parallelism * (MAX_DAG_NODES + 1) - 1],
-                         "sdag.orchestrator": []}
-    for sizes in built.values():
-        sizes.clear()
+        assert built == [("sdag.evaluation", parallelism * (MAX_DAG_NODES + 1) - 1)]
+    built.clear()
     evaluate(records, oracle_client(), oracle_pool(),
              EvalConfig(mode=mode, seeds=3, parallelism=1),
              params=params, embedder=embedder, store=store)
-    assert built == {"sdag.evaluation": [], "sdag.orchestrator": []}
+    assert built == []
 
 
 def test_dispatch_submits_no_more_loops_than_questions():

@@ -25,6 +25,12 @@ any mode but single_cot. The question workers besides the caller's thread
 and the nodes of live plans share it. Each question in flight holds one
 thread that waits on its plan, plus at most MAX_DAG_NODES running nodes, so
 the pool has parallelism x (MAX_DAG_NODES + 1) - 1 workers.
+
+The JSON report is `json.dumps(report.to_dict(), sort_keys=True, indent=2)`,
+byte for byte. A writer that knows the report's schema hands each outcome's
+scalar fields and its whole trace list to the C encoder in one call each and
+re-pads the text between trace records; a report of any other shape, or a
+run without the C encoder, is written by json.dumps itself.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import time
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -389,10 +395,11 @@ def _dispatch(run, needs: list[tuple[str, ...]], limits: dict[str, int],
     return results
 
 
-_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LIST, _DICT = frozenset({list}), frozenset({dict})
 
 
-@functools.lru_cache(maxsize=None)  # one entry per nesting depth
+@functools.lru_cache(maxsize=None)  # one entry per indentation
 def _c_encoder(inner: str):
     """The C encoder that writes a container of scalars with each item on its
     own line at indentation `inner`, as json.dumps would with indent=2."""
@@ -402,56 +409,58 @@ def _c_encoder(inner: str):
     )
 
 
-def _emit_indented(obj, pad: str, out: list[str]) -> None:
-    """Append the indented text of container `obj`, whose brackets sit at `pad`."""
-    if not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = pad + "  "
-    encode = _c_encoder(inner)
-    is_dict = isinstance(obj, dict)
-    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
-        # Escaped strings hold no raw newline, so the item separator is the
-        # only one: re-pad the brackets and the text is the indented form.
-        body = "".join(encode(obj, 0))
-        out += (body[0], "\n", inner, body[1:-1], "\n", pad, body[-1])
-        return
-    items = sorted(obj.items()) if is_dict else obj
-    out.append("{" if is_dict else "[")
-    separator = "\n" + inner
-    for item in items:
-        out.append(separator)
-        separator = ",\n" + inner
-        if is_dict:
-            key, item = item
-            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
-        if isinstance(item, _CONTAINERS):
-            _emit_indented(item, inner, out)
-        else:
-            out.extend(encode(item, 0))
-    out.append("\n" + pad + ("}" if is_dict else "]"))
-
-
-def _canonical_json(obj) -> str:
-    """Exactly `json.dumps(obj, sort_keys=True, indent=2)` for a tree of
-    string-keyed dicts, lists and scalars, such as `EvalReport.to_dict()`.
+def _report_json(report: EvalReport) -> str:
+    """Exactly `json.dumps(report.to_dict(), sort_keys=True, indent=2)`.
 
     CPython's C encoder cannot indent, so json.dumps runs its pure-Python
-    encoder here. This walk writes the nesting in Python and hands every
-    container of scalars (each trace record, the bulk of a report) to the C
-    encoder in one call.
+    encoder. This writer knows the report's shape instead, whose dict keys are
+    its dataclasses' fields: the C encoder writes the report's scalar fields
+    in one call, and per outcome its scalar fields in one call and its whole
+    trace list in another, each with the item separator at the indentation of
+    its items; a placeholder 0 holds the place of the outcomes and of each
+    trace. Escaped strings hold no raw newline, so the separators are the only
+    line breaks, and the text between two trace records is the one place
+    where `},` precedes one: re-padding there gives the indented form. Any
+    other shape (a container among the scalar fields or inside a trace record,
+    an empty or non-dict record, a value of another type) is written by
+    json.dumps, as is every report when the C encoder is missing.
     """
-    if json.encoder.c_make_encoder is None or not isinstance(obj, _CONTAINERS):
-        return json.dumps(obj, sort_keys=True, indent=2)
-    out: list[str] = []
-    _emit_indented(obj, "", out)
-    return "".join(out)
+    head = {**vars(report), "outcomes": 0}
+    fields = [{**vars(o), "trace": 0} for o in report.outcomes]
+    traces = [o.trace for o in report.outcomes]
+    lists = _LIST.issuperset(map(type, traces))
+    records = [*chain.from_iterable(traces)] if lists else []
+    if (json.encoder.c_make_encoder is None or not lists or not all(records)
+            or not _DICT.issuperset(map(type, records))
+            or not _SCALARS.issuperset(map(type, chain(
+                head.values(), chain.from_iterable(map(dict.values, fields)),
+                chain.from_iterable(map(dict.values, records)))))):
+        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    encode_field, encode_trace = _c_encoder(" " * 6), _c_encoder(" " * 10)
+    out = []
+    for field_map, trace in zip(fields, traces):
+        before, _, after = "".join(encode_field(field_map, 0)).partition(
+            ',\n      "trace": 0,\n      ')
+        out += ("{\n      ", before[1:], ',\n      "trace": ')
+        if trace:
+            body = "".join(encode_trace(trace, 0))
+            out += ("[\n        {\n          ",
+                    body[2:-2].replace("},\n          {", "\n        },\n        {\n          "),
+                    "\n        }\n      ]")
+        else:
+            out.append("[]")
+        out += (",\n      ", after[:-1], "\n    },\n    ")
+    if out:
+        out[0], out[-1] = "[\n    {\n      ", "\n    }\n  ]"
+    before, _, after = "".join(_c_encoder("  ")(head, 0)).partition(',\n  "outcomes": 0,\n  ')
+    return "".join(["{\n  ", before[1:], ',\n  "outcomes": ', *(out or ["[]"]), ",\n  ",
+                    after[:-1], "\n}"])
 
 
 def render_report(report: EvalReport, format: str = "text") -> str:
     """Table-shaped text summary, or canonical JSON (byte-stable)."""
     if format == "json":
-        return _canonical_json(report.to_dict()) + "\n"
+        return _report_json(report) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format: {format!r}")
     header = ("Variant", "Accuracy", "Inf. Time", "#LLM Calls")

@@ -5,7 +5,11 @@ are supporting agents, sinks are dominant agents. Each node's prompt embeds
 its upstream replies, and the final answer is extracted from the
 highest-scoring sink's reply. The fully-connected two-round baseline and the
 single-model CoT baseline run through the same plan runner, as graphs of
-dependent agent calls.
+dependent agent calls. `execute_dag` builds its plan from one pass over the
+DAG's edges: the plan order (Kahn's, with canonical ties), each node's
+dependencies in canonical order, the roles and the answering sink, as
+`topological_order`, `in_neighbors`, `assign_roles` and `pick_final_node`
+give them, and with the same errors in the same order.
 
 The runner has two schedules, and one function makes a node's call under
 both. When every backend is simulated, nodes run in a plain loop in plan
@@ -42,7 +46,9 @@ from typing import NamedTuple
 from .backends import ChatClient, ChatRequest
 from .errors import RoleInputMismatch, TransportError
 from .fileio import atomic_writer
-from .subjects import MAX_DAG_NODES, SUBJECTS, QuestionRecord, SDag, SDagNode, Subject
+from .subjects import (
+    MAX_DAG_NODES, SUBJECTS, QuestionRecord, SDag, SDagNode, Subject, kahn_order,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -513,20 +519,40 @@ def execute_dag(
     (`evaluate()` passes the one it builds per call), or on a pool of
     MAX_DAG_NODES workers built for this call when it is None.
     """
-    missing = [n.subject.value for n in g.nodes if n.subject not in selection]
+    nodes = g.nodes
+    missing = [n.subject.value for n in nodes if n.subject not in selection]
     if missing:
         raise ValueError(f"selection covers no model for: {missing}")
-    roles = assign_roles(g)
-    final_subject = pick_final_node(g, roles)
+    # One pass over the edges: each node's in-neighbours and children, and
+    # which subjects send an edge. An edge with an end outside the graph
+    # raises the KeyError of topological_order, after the sink check.
+    parents: dict[Subject, list[Subject]] = {n.subject: [] for n in nodes}
+    children: dict[Subject, list[Subject]] = {s: [] for s in parents}
+    senders = set()
+    stray = None
+    for e in g.edges:
+        src, dst = e.src, e.dst
+        senders.add(src)
+        if dst in parents and src in parents:
+            parents[dst].append(src)
+            children[src].append(dst)
+        elif stray is None:
+            stray = src if dst in parents else dst
+    # The answering sink, as pick_final_node picks it from assign_roles.
+    final_subject = max((n for n in nodes if n.subject not in senders),
+                        key=lambda n: (n.score, -_INDEX[n.subject])).subject
+    if stray is not None:
+        raise KeyError(stray)
     q_text = question_block(question)
-    order = g.topological_order()
+    order = kahn_order({s: len(p) for s, p in parents.items()}, children, len(nodes))
     position = {s: i for i, s in enumerate(order)}
     plan = []
     for s in order:
-        deps = tuple(position[d] for d in g.in_neighbors(s))
+        deps = tuple([position[d] for d in sorted(parents[s], key=_INDEX.__getitem__)])
+        role = _DOMINANT if s not in senders else _SUPPORTING if deps else _EXPERT
         model_id, backend = _resolve_backend(selection, pool_backends, s)
-        plan.append(_PlanNode(s, _NAME[s], _ROLE_NAME[roles[s]], 0, model_id, backend, deps,
-                              roles[s] if deps else _EXPERT, q_text,
+        plan.append(_PlanNode(s, _NAME[s], _ROLE_NAME[role], 0, model_id, backend, deps,
+                              role if deps else _EXPERT, q_text,
                               True if s is final_subject else None))
     return _run_plan("sdag", plan, position[final_subject], question, client, extra_metadata,
                      executor)

@@ -50,13 +50,16 @@ def kept_nodes(node_probs: Array, config: GenerationConfig) -> list[int]:
     return sorted(kept)
 
 
-def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig) -> SDag:
+def assemble_dag(node_probs: Array, edge_probs: Array, config: GenerationConfig,
+                 kept: list[int] | None = None) -> SDag:
     """Apply node/edge thresholds, the node cap, and acyclicity repair.
 
-    Only the rows of `edge_probs` for the kept subjects are read.
+    Only the rows of `edge_probs` for the kept subjects are read. `kept` is
+    `kept_nodes(node_probs, config)` when the caller has it already.
     """
     probs = np.asarray(node_probs, dtype=np.float64)
-    kept = kept_nodes(probs, config)
+    if kept is None:
+        kept = kept_nodes(probs, config)
     nodes = [SDagNode(subject=SUBJECTS[i], score=float(probs[i])) for i in kept]
     edges = []
     for i in kept:
@@ -94,7 +97,8 @@ def generate_sdag(
     if not questions:
         return []
     output = route(params, np.stack([embedder.embed(q) for q in questions]))
-    kept = [kept_nodes(p, config) if edges else [] for p in output.node_probs]
-    edge_probs = output.edge_rows([rows if len(rows) > 1 else [] for rows in kept])
-    dags = [assemble_dag(p, e, config) for p, e in zip(output.node_probs, edge_probs)]
+    kept = [kept_nodes(p, config) for p in output.node_probs]
+    edge_probs = output.edge_rows([rows if edges and len(rows) > 1 else [] for rows in kept])
+    dags = [assemble_dag(p, e, config, kept=k)
+            for p, e, k in zip(output.node_probs, edge_probs, kept)]
     return dags[0] if isinstance(question, str) else dags

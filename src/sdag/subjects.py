@@ -54,6 +54,7 @@ SUBJECTS: tuple[Subject, ...] = tuple(Subject)
 NUM_SUBJECTS = len(SUBJECTS)
 
 _SUBJECT_INDEX = {s: i for i, s in enumerate(SUBJECTS)}
+_OTHER = Subject.OTHER
 _SUBJECT_BY_LOWER = {s.value.lower(): s for s in SUBJECTS}
 
 # A question's weight distribution over subjects. Finalized distributions sum
@@ -78,7 +79,7 @@ def renormalize(weights: SubjectWeights) -> SubjectWeights:
     total = sum(weights.values())
     if total <= 0:
         raise ValueError("cannot renormalize weights with non-positive total")
-    ordered = sorted(weights.items(), key=lambda kv: kv[0].index)
+    ordered = sorted(weights.items(), key=lambda kv: _SUBJECT_INDEX[kv[0]])
     return {s: w / total for s, w in ordered}
 
 
@@ -149,19 +150,7 @@ class SDag:
         for e in self.edges:
             indeg[e.dst] += 1
             children[e.src].append(e.dst)
-        ready = [s.index for s, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order: list[Subject] = []
-        while ready:
-            s = SUBJECTS[heapq.heappop(ready)]
-            order.append(s)
-            for c in children[s]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c.index)
-        if len(order) != len(self.nodes):
-            raise ValueError("graph contains a cycle")
-        return order
+        return kahn_order(indeg, children, len(self.nodes))
 
     def to_labels(self) -> tuple[list[int], list[list[int]]]:
         """Binary node vector and adjacency matrix over the full taxonomy."""
@@ -172,6 +161,26 @@ class SDag:
         for e in self.edges:
             a_mat[e.src.index][e.dst.index] = 1
         return s_vec, a_mat
+
+
+def kahn_order(indeg: dict[Subject, int], children: dict[Subject, list[Subject]],
+               size: int) -> list[Subject]:
+    """Kahn's algorithm over in-degrees (counted down in place) and child
+    lists, taking ready subjects in canonical order; ValueError unless all
+    `size` nodes are ordered."""
+    ready = [_SUBJECT_INDEX[s] for s, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[Subject] = []
+    while ready:
+        s = SUBJECTS[heapq.heappop(ready)]
+        order.append(s)
+        for c in children[s]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, _SUBJECT_INDEX[c])
+    if len(order) != size:
+        raise ValueError("graph contains a cycle")
+    return order
 
 
 @dataclass
@@ -239,11 +248,7 @@ def build_ground_truth_dag(weights: SubjectWeights, threshold: float = 0.1) -> S
     if not weights or abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")
 
-    survivors = {
-        s: w
-        for s, w in weights.items()
-        if w >= threshold and s != Subject.OTHER
-    }
+    survivors = {s: w for s, w in weights.items() if w >= threshold and s is not _OTHER}
     if not survivors:
         raise EmptyAfterThreshold(
             f"no subject at or above threshold {threshold} (excluding Other)"
@@ -256,15 +261,10 @@ def build_ground_truth_dag(weights: SubjectWeights, threshold: float = 0.1) -> S
     if not dominants:
         top = max(norm.values())
         dominants = [s for s, w in norm.items() if w == top]
-    dominant_set = set(dominants)
-    supporting = [s for s in norm if s not in dominant_set]
-
-    nodes = [SDagNode(s, norm[s]) for s in sorted(norm, key=lambda s: s.index)]
-    edges = [
-        SDagEdge(src, dst, 1.0)
-        for src in sorted(supporting, key=lambda s: s.index)
-        for dst in sorted(dominants, key=lambda s: s.index)
-    ]
+    # norm is keyed in canonical order, so nodes and edges come out in it.
+    supporting = [s for s in norm if s not in dominants]
+    nodes = [SDagNode(s, w) for s, w in norm.items()]
+    edges = [SDagEdge(src, dst, 1.0) for src in supporting for dst in dominants]
     return SDag(nodes=nodes, edges=edges)
 
 

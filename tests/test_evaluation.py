@@ -34,7 +34,7 @@ from sdag.evaluation import (
     ROUTE_CHUNK,
     EvalConfig,
     EvalReport,
-    _canonical_json,
+    QuestionOutcome,
     _dispatch,
     evaluate,
     render_report,
@@ -662,21 +662,24 @@ def test_render_json_round_trip():
 
 
 # Keys and strings the renderer must escape exactly as the stdlib does,
-# including text that looks like the indented separator between records.
+# including text that looks like the separators between outcomes, between
+# trace records (at 8 and 10 spaces) and around an outcome's trace.
 JSON_STRINGS = st.one_of(
     st.text(max_size=8),
     st.sampled_from(["é", "\u2028", "\ud800", "\x00\x1f\x7f", '"q"', "back\\slash",
-                     "},\n    {", "\n", ""]),
+                     "},\n    {", "},\n        {", "},\n          {", "\n        },\n        {",
+                     ',\n      "trace": 0,\n      ', '"outcomes": 0', "\n", ""]),
 )
-JSON_SCALARS = st.one_of(
+# Scalars of the types the report writer encodes itself, then with NumPy floats.
+PLAIN_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(10**40), max_value=10**40),
     st.floats(),
     st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e308]),
-    st.floats().map(np.float64),
     JSON_STRINGS,
 )
+JSON_SCALARS = st.one_of(PLAIN_SCALARS, st.floats().map(np.float64))
 
 
 def json_trees(depth: int = 6):
@@ -691,13 +694,60 @@ def json_trees(depth: int = 6):
     )
 
 
+TRACE_KEYS = ("subject", "role", "model_id", "backend", "prompt", "reply", "latency",
+              "attempts", "failed", "round", "start", "finish")
+# Non-empty containers, and values that may be one or a NumPy float: the
+# writer hands reports holding either to json.dumps.
+NESTED = st.one_of(st.lists(json_trees(1), min_size=1, max_size=3),
+                   st.dictionaries(JSON_STRINGS, json_trees(1), min_size=1, max_size=3))
+ANY = st.one_of(JSON_SCALARS, NESTED)
+
+
+SOMETIMES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def eval_reports(draw):
+    """Reports of plain scalars and trace-shaped records, except that each of
+    three parts may go astray, which the writer must hand to json.dumps: the
+    scalar fields, one trace record (empty, or with arbitrary keys and values)
+    and one trace list (a tuple)."""
+    value = ANY if draw(SOMETIMES) else PLAIN_SCALARS
+    record = st.fixed_dictionaries({k: PLAIN_SCALARS for k in TRACE_KEYS})
+    outcome = st.builds(
+        QuestionOutcome, seed=value, question_id=value, answer=st.one_of(st.none(), value),
+        gold=value, correct=value, llm_calls=value, wall_time=value,
+        trace=st.one_of(st.lists(record, min_size=1, max_size=2), st.just([])),
+    )
+    outcomes = draw(st.one_of(st.lists(outcome, min_size=1, max_size=3), st.just([])))
+    traces = [o.trace for o in outcomes if o.trace]
+    if traces and draw(st.booleans()):
+        trace = draw(st.sampled_from(traces))
+        trace[draw(st.integers(0, len(trace) - 1))] = draw(st.one_of(
+            st.builds(lambda r, key, nested: {**r, key: nested}, record, JSON_STRINGS, NESTED),
+            st.dictionaries(JSON_STRINGS, ANY, min_size=1, max_size=4),
+            st.just({}),
+        ))
+    if outcomes and draw(SOMETIMES):
+        astray = draw(st.sampled_from(outcomes))
+        astray.trace = tuple(astray.trace)
+    if outcomes and draw(st.booleans()):  # a later seed shares the first one's trace
+        outcomes.append(dataclasses.replace(outcomes[0], seed=1))
+    return EvalReport(
+        mode=draw(value), seeds=draw(value), questions=draw(value),
+        accuracy_mean=draw(value), accuracy_std=draw(value), avg_seconds=draw(value),
+        avg_calls=draw(value), total_llm_calls=draw(value), outcomes=outcomes,
+    )
+
+
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
 @settings(max_examples=400, deadline=None)
-@given(tree=json_trees())
-def test_canonical_json_matches_stdlib(c_encoder, tree):
+@given(report=eval_reports())
+def test_render_json_matches_stdlib_for_any_report(c_encoder, report):
     available = json.encoder.c_make_encoder if c_encoder else None
     with mock.patch.object(json.encoder, "c_make_encoder", available):
-        assert _canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert render_report(report, "json") == expected
 
 
 @pytest.mark.parametrize("mode", MODES)

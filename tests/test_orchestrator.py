@@ -1,10 +1,12 @@
 """Role assignment, prompt rendering, DAG execution, and baselines."""
 
+import heapq
 import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +23,14 @@ from sdag.orchestrator import (
     SUPPORTING_PROMPT,
     UNAVAILABLE,
     AgentRole,
+    _PlanNode,
     assign_roles,
     execute_dag,
     execute_fcg,
     execute_single_cot,
     extract_answer,
     pick_final_node,
+    question_block,
     render_prompt,
     render_single_cot_prompt,
 )
@@ -784,3 +788,117 @@ def test_inline_schedule_matches_threaded_schedule(g, data):
         threaded = run("Q?", selection, backends, live(client()))
         assert inline.simulated and not threaded.simulated
         assert schedule_view(threaded) == schedule_view(inline)
+
+
+# -- the one-pass plan against the derivation it replaced -----------------------
+
+
+def reference_order(g):
+    """SDag.topological_order as it was written inline: Kahn's algorithm,
+    canonical ties."""
+    indeg = {n.subject: 0 for n in g.nodes}
+    children = {n.subject: [] for n in g.nodes}
+    for e in g.edges:
+        indeg[e.dst] += 1
+        children[e.src].append(e.dst)
+    ready = [s.index for s, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        s = SUBJECTS[heapq.heappop(ready)]
+        order.append(s)
+        for c in children[s]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c.index)
+    if len(order) != len(g.nodes):
+        raise ValueError("graph contains a cycle")
+    return order
+
+
+def reference_plan(g, question, selection, pool_backends):
+    """execute_dag's plan as assign_roles, pick_final_node, topological_order
+    and in_neighbors derived it, with the index of its answering node."""
+    missing = [n.subject.value for n in g.nodes if n.subject not in selection]
+    if missing:
+        raise ValueError(f"selection covers no model for: {missing}")
+    roles = assign_roles(g)
+    final_subject = pick_final_node(g, roles)
+    q_text = question_block(question)
+    order = reference_order(g)
+    position = {s: i for i, s in enumerate(order)}
+    plan = []
+    for s in order:
+        deps = tuple(position[d] for d in g.in_neighbors(s))
+        model_id = selection[s]
+        backend = pool_backends.get(model_id)
+        if backend is None:
+            raise ValueError(f"no backend configured for model {model_id!r}")
+        plan.append(_PlanNode(s, s.value, roles[s].value, 0, model_id, backend, deps,
+                              roles[s] if deps else AgentRole.SUBJECT_EXPERT, q_text,
+                              True if s is final_subject else None))
+    return plan, position[final_subject]
+
+
+SHAPES = {
+    "chain": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "diamond": lambda n: [(0, i) for i in range(1, n - 1)] + [(i, n - 1) for i in range(1, n - 1)],
+    "sinks": lambda n: [(0, i) for i in range(1, n)],
+    "isolated": lambda n: [],
+}
+
+
+RARELY = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def plan_inputs(draw):
+    """1-5 subjects with tied or distinct scores, wired as a chain, a diamond,
+    a source with several sinks, isolated nodes or any pairs (back edges,
+    self-loops, duplicates and cycles included), sometimes with an edge with
+    one or both ends outside the graph, a duplicated node, a missing selection or a
+    model without a backend."""
+    shuffled = draw(st.permutations([s for s in Subject if s is not Subject.OTHER]))
+    subjects, stranger = shuffled[:draw(st.integers(1, 5))], shuffled[-1]
+    n = len(subjects)
+    score = st.one_of(st.sampled_from([0.3, 0.5, 0.5, 0.9]), st.floats(0.0, 1.0))
+    nodes = [SDagNode(s, draw(score)) for s in subjects]
+    shape = draw(st.sampled_from([*SHAPES, "any"]))
+    if shape == "any":
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8))
+    else:
+        pairs = SHAPES[shape](n)
+    edges = [SDagEdge(subjects[i], subjects[j]) for i, j in draw(st.permutations(pairs))]
+    if draw(RARELY):
+        inside, outside = draw(st.sampled_from(subjects)), Subject.OTHER
+        edges.insert(draw(st.integers(0, len(edges))),
+                     draw(st.sampled_from([SDagEdge(inside, outside), SDagEdge(outside, inside),
+                                           SDagEdge(stranger, outside)])))
+    if draw(RARELY):
+        nodes.append(SDagNode(subjects[0], draw(score)))
+    selection, backends = pool_for(subjects)
+    if draw(RARELY):
+        del selection[draw(st.sampled_from(subjects))]
+    if draw(RARELY):
+        backends.pop(f"model-{draw(st.sampled_from(subjects)).value.lower()}")
+    return SDag(nodes=nodes, edges=edges), selection, backends
+
+
+def outcome(build):
+    """What a plan builder gives: its result, or its exception's type and text."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=plan_inputs())
+def test_one_pass_plan_matches_the_reference_derivation(inputs):
+    g, selection, backends = inputs
+    question = "Which? <<A>>"
+    with mock.patch.object(sdag.orchestrator, "_run_plan",
+                           lambda mode, plan, final, *rest: (plan, final)):
+        got = outcome(lambda: execute_dag(g, question, selection, backends, echo_client()))
+    assert got == outcome(lambda: reference_plan(g, question, selection, backends))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdag.errors import EmptyAfterThreshold, UnknownSubject
 from sdag.subjects import (
@@ -147,6 +149,65 @@ def test_ground_truth_property_10000_random_vectors():
         scores = {n.subject: n.score for n in g.nodes}
         for e in g.edges:
             assert scores[e.src] <= scores[e.dst]
+
+
+def reference_ground_truth_dag(weights, threshold=0.1):
+    """build_ground_truth_dag as it was written with its re-sorts, kept as the
+    reference for the leaner version."""
+    check_weights(weights)
+    total = sum(weights.values())
+    if not weights or abs(total - 1.0) > 1e-6:
+        raise ValueError(f"weights must sum to 1 within {1e-6}, got {total}")
+    survivors = {
+        s: w
+        for s, w in weights.items()
+        if w >= threshold and s != Subject.OTHER
+    }
+    if not survivors:
+        raise EmptyAfterThreshold(
+            f"no subject at or above threshold {threshold} (excluding Other)"
+        )
+    norm = renormalize(survivors)
+    k = len(norm)
+    average = 1.0 / k
+    dominants = [s for s, w in norm.items() if w > average]
+    if not dominants:
+        top = max(norm.values())
+        dominants = [s for s, w in norm.items() if w == top]
+    dominant_set = set(dominants)
+    supporting = [s for s in norm if s not in dominant_set]
+    nodes = [SDagNode(s, norm[s]) for s in sorted(norm, key=lambda s: s.index)]
+    edges = [
+        SDagEdge(src, dst, 1.0)
+        for src in sorted(supporting, key=lambda s: s.index)
+        for dst in sorted(dominants, key=lambda s: s.index)
+    ]
+    return SDag(nodes=nodes, edges=edges)
+
+
+@st.composite
+def weight_maps(draw):
+    """1-6 subjects, Other among them at times, in any key order, with tied,
+    sub-threshold or arbitrary raw weights, mostly normalized to sum to 1."""
+    subjects = draw(st.permutations(SUBJECTS))[:draw(st.integers(1, 6))]
+    raw = draw(st.lists(
+        st.one_of(st.sampled_from([0.05, 0.1, 0.25, 0.25, 1.0]), st.floats(1e-3, 1.0)),
+        min_size=len(subjects), max_size=len(subjects),
+    ))
+    total = sum(raw) if draw(st.sampled_from([True] * 5 + [False])) else 1.0
+    return {s: w / total for s, w in zip(subjects, raw)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(weights=weight_maps(), threshold=st.sampled_from([0.1, 0.0, 0.25, 0.5]))
+def test_ground_truth_matches_the_reference_formula(weights, threshold):
+    def outcome(build):
+        try:
+            return build(weights, threshold)
+        except (ValueError, EmptyAfterThreshold) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(build_ground_truth_dag) == outcome(reference_ground_truth_dag)
 
 
 def test_validate_dag_reports():

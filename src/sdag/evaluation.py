@@ -450,7 +450,7 @@ def _report_json(report: EvalReport) -> str:
         else:
             out.append("[]")
         out += (",\n      ", after[:-1], "\n    },\n    ")
-    if out:
+    if out:  # the first outcome opens the list and the last one closes it
         out[0], out[-1] = "[\n    {\n      ", "\n    }\n  ]"
     before, _, after = "".join(_c_encoder("  ")(head, 0)).partition(',\n  "outcomes": 0,\n  ')
     return "".join(["{\n  ", before[1:], ',\n  "outcomes": ', *(out or ["[]"]), ",\n  ",

@@ -46,9 +46,7 @@ from typing import NamedTuple
 from .backends import ChatClient, ChatRequest
 from .errors import RoleInputMismatch, TransportError
 from .fileio import atomic_writer
-from .subjects import (
-    MAX_DAG_NODES, SUBJECTS, QuestionRecord, SDag, SDagNode, Subject, kahn_order,
-)
+from .subjects import MAX_DAG_NODES, SUBJECTS, QuestionRecord, SDag, SDagNode, Subject, kahn_order
 
 logger = logging.getLogger(__name__)
 

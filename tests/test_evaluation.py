@@ -682,7 +682,7 @@ PLAIN_SCALARS = st.one_of(
 JSON_SCALARS = st.one_of(PLAIN_SCALARS, st.floats().map(np.float64))
 
 
-def json_trees(depth: int = 6):
+def json_trees(depth: int):
     """Scalars, lists and string-keyed dicts nested up to `depth` levels."""
     if depth == 0:
         return JSON_SCALARS
@@ -701,8 +701,6 @@ TRACE_KEYS = ("subject", "role", "model_id", "backend", "prompt", "reply", "late
 NESTED = st.one_of(st.lists(json_trees(1), min_size=1, max_size=3),
                    st.dictionaries(JSON_STRINGS, json_trees(1), min_size=1, max_size=3))
 ANY = st.one_of(JSON_SCALARS, NESTED)
-
-
 SOMETIMES = st.sampled_from([False, False, False, True])
 
 

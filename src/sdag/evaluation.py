@@ -409,6 +409,16 @@ def _c_encoder(inner: str):
     )
 
 
+def _trace_json(trace: list[dict]) -> str:
+    """One outcome's checked trace list, as `_report_json` writes it."""
+    if not trace:
+        return "[]"
+    body = "".join(_c_encoder(" " * 10)(trace, 0))[2:-2]
+    return ("[\n        {\n          "
+            + body.replace("},\n          {", "\n        },\n        {\n          ")
+            + "\n        }\n      ]")
+
+
 def _report_json(report: EvalReport) -> str:
     """Exactly `json.dumps(report.to_dict(), sort_keys=True, indent=2)`.
 
@@ -420,7 +430,9 @@ def _report_json(report: EvalReport) -> str:
     its items; a placeholder 0 holds the place of the outcomes and of each
     trace. Escaped strings hold no raw newline, so the separators are the only
     line breaks, and the text between two trace records is the one place
-    where `},` precedes one: re-padding there gives the indented form. Any
+    where `},` precedes one: re-padding there gives the indented form. A
+    trace list that several outcomes share, as every seed shares seed 0's
+    under all-mock clients, is checked and written once. Any
     other shape (a container among the scalar fields or inside a trace record,
     an empty or non-dict record, a value of another type) is written by
     json.dumps, as is every report when the C encoder is missing.
@@ -428,28 +440,27 @@ def _report_json(report: EvalReport) -> str:
     head = {**vars(report), "outcomes": 0}
     fields = [{**vars(o), "trace": 0} for o in report.outcomes]
     traces = [o.trace for o in report.outcomes]
-    lists = _LIST.issuperset(map(type, traces))
-    records = [*chain.from_iterable(traces)] if lists else []
+    # Keyed by identity; `traces` keeps every list alive, so no id is reused.
+    distinct = {id(trace): trace for trace in traces}
+    lists = _LIST.issuperset(map(type, distinct.values()))
+    records = [*chain.from_iterable(distinct.values())] if lists else []
     if (json.encoder.c_make_encoder is None or not lists or not all(records)
             or not _DICT.issuperset(map(type, records))
             or not _SCALARS.issuperset(map(type, chain(
                 head.values(), chain.from_iterable(map(dict.values, fields)),
                 chain.from_iterable(map(dict.values, records)))))):
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    encode_field, encode_trace = _c_encoder(" " * 6), _c_encoder(" " * 10)
+    encode_field = _c_encoder(" " * 6)
+    encoded: dict[int, str] = {}
     out = []
     for field_map, trace in zip(fields, traces):
         before, _, after = "".join(encode_field(field_map, 0)).partition(
             ',\n      "trace": 0,\n      ')
-        out += ("{\n      ", before[1:], ',\n      "trace": ')
-        if trace:
-            body = "".join(encode_trace(trace, 0))
-            out += ("[\n        {\n          ",
-                    body[2:-2].replace("},\n          {", "\n        },\n        {\n          "),
-                    "\n        }\n      ]")
-        else:
-            out.append("[]")
-        out += (",\n      ", after[:-1], "\n    },\n    ")
+        text = encoded.get(id(trace))
+        if text is None:
+            text = encoded[id(trace)] = _trace_json(trace)
+        out += ("{\n      ", before[1:], ',\n      "trace": ', text, ",\n      ", after[:-1],
+                "\n    },\n    ")
     if out:  # the first outcome opens the list and the last one closes it
         out[0], out[-1] = "[\n    {\n      ", "\n    }\n  ]"
     before, _, after = "".join(_c_encoder("  ")(head, 0)).partition(',\n  "outcomes": 0,\n  ')

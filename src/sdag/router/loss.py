@@ -4,6 +4,13 @@ Total loss is a weighted sum of node-relevance BCE over all 15 subjects and
 edge BCE over ordered subject pairs. A pair is excluded from the edge term
 exactly when both endpoints are inactive in the ground truth, so the network
 is never penalized for edges between subjects the question does not involve.
+
+A training step is mostly calls on arrays of 15 to 225 elements, where
+NumPy's Python wrappers cost as much as the work. So the loss calls the
+ufuncs that `np.clip` and `.sum()` dispatch to, `np.maximum`/`np.minimum`
+and `np.add.reduce`, on the same operands in the same order, and
+`logit_gradients` reads the probabilities off the `ForwardTape` instead of
+building its `RouterOutput`. Values and gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -14,12 +21,24 @@ import numpy as np
 
 from ..errors import NonFiniteLoss
 from ..subjects import NUM_SUBJECTS
-from .model import PAIR_DST, PAIR_SRC, ForwardTape, RouterOutput, RouterParams, backward, route
+from .model import (
+    ALL_ROWS,
+    ForwardTape,
+    RouterOutput,
+    RouterParams,
+    _edge_output,
+    _sigmoid,
+    backward,
+    route,
+)
 
 Array = np.ndarray
 
 # Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before the log.
 PROB_EPS = 1e-7
+# Picks a grid's ordered pairs row by row, the order of `model.PAIR_SRC` and
+# `model.PAIR_DST`, in one boolean index instead of two index arrays.
+OFF_DIAGONAL = ~np.eye(NUM_SUBJECTS, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -65,25 +84,31 @@ def masked_bce_loss(
 ) -> float:
     """Evaluate the objective on already-computed probabilities."""
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
-    return _masked_bce(output, node_labels, edge_labels, edge_mask(node_labels), config)
+    return _masked_bce(np.asarray(output.node_probs, dtype=np.float64),
+                       np.asarray(output.edge_probs, dtype=np.float64),
+                       node_labels, edge_labels, edge_mask(node_labels), config)
+
+
+def _clamped(probs: Array) -> Array:
+    """`probs` clamped into [PROB_EPS, 1 - PROB_EPS], as `np.clip` does."""
+    return np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def _masked_bce(
-    output: RouterOutput, node_labels: Array, edge_labels: Array, mask: Array,
-    config: LossConfig,
+    node_probs: Array, edge_probs: Array, node_labels: Array, edge_labels: Array,
+    mask: Array, config: LossConfig,
 ) -> float:
-    """`masked_bce_loss` on checked labels and their `edge_mask`."""
-    node_p = np.clip(np.asarray(output.node_probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    pair_p = np.clip(
-        np.asarray(output.edge_probs, dtype=np.float64)[PAIR_SRC, PAIR_DST],
-        PROB_EPS,
-        1.0 - PROB_EPS,
-    )
-    pair_y = edge_labels[PAIR_SRC, PAIR_DST]
-    pair_mask = mask[PAIR_SRC, PAIR_DST]
+    """`masked_bce_loss` on float64 probabilities, checked labels and their
+    `edge_mask`."""
+    node_p = _clamped(node_probs)
+    pair_p = _clamped(edge_probs[OFF_DIAGONAL])
+    pair_y = edge_labels[OFF_DIAGONAL]
+    pair_mask = mask[OFF_DIAGONAL]
 
-    node_sum = (node_labels * np.log(node_p) + (1.0 - node_labels) * np.log(1.0 - node_p)).sum()
-    edge_sum = ((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p)) * pair_mask).sum()
+    node_sum = np.add.reduce(node_labels * np.log(node_p)
+                             + (1.0 - node_labels) * np.log(1.0 - node_p))
+    edge_sum = np.add.reduce((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p))
+                             * pair_mask)
     loss = config.lambda_node * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
@@ -108,11 +133,13 @@ def logit_gradients(
     and on the diagonal.
     """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
-    output = tape.output()
+    # The probabilities of `tape.output()`, without building the output.
+    node_probs = _sigmoid(tape.node_logits)
+    edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)[1]
     mask = edge_mask(node_labels)
-    value = _masked_bce(output, node_labels, edge_labels, mask, config)
-    d_node = config.lambda_node * _clamped_residual(output.node_probs, node_labels)
-    d_edge = config.lambda_edge * mask * _clamped_residual(output.edge_probs, edge_labels)
+    value = _masked_bce(node_probs, edge_probs, node_labels, edge_labels, mask, config)
+    d_node = config.lambda_node * _clamped_residual(node_probs, node_labels)
+    d_edge = config.lambda_edge * mask * _clamped_residual(edge_probs, edge_labels)
     return value, d_node, d_edge
 
 

@@ -207,7 +207,7 @@ def _layer_stage(params: RouterParams, layer: int, x: Array) -> tuple[Array, Arr
     """One message-passing layer; returns (neighbour mean, new node states)."""
     t = params.tensors
     # Row i is the mean of every row except i.
-    mean = (x.sum(axis=-2, keepdims=True) - x) / (NUM_SUBJECTS - 1)
+    mean = (np.add.reduce(x, axis=-2, keepdims=True) - x) / (NUM_SUBJECTS - 1)
     pre = x @ t[f"mp{layer}.w_self"] + mean @ t[f"mp{layer}.w_msg"] + t[f"mp{layer}.b"]
     return mean, _activate(params.dims, pre)
 
@@ -325,6 +325,23 @@ class ForwardTape:
         )
 
 
+def _question_block_grad(h_q: Array, d: Array, out: Array) -> None:
+    """Write the gradient of a question block, `np.multiply.outer(h_q, d)`,
+    into the (d_q, n) rows `out`, given the block's output gradient `d`.
+
+    A question hits few of the d_q buckets, so most rows are the product of
+    +0.0 with `d`. That row, `np.multiply(0.0, d)`, is computed once and
+    broadcast into every row, signed zeros and NaNs of `0 * inf` included;
+    only the rows whose entry of `h_q` is not +0.0 (its bits nonzero, so -0.0
+    counts) are multiplied out. Each entry is the product of the same two
+    operands as in the dense outer product, so it has the same bits; only
+    where both are NaN may the NaN's payload differ, which IEEE 754 leaves open.
+    """
+    out[...] = np.multiply(0.0, d)
+    rows = np.flatnonzero(h_q.view(np.uint64))
+    out[rows] = np.multiply.outer(h_q[rows], d)
+
+
 def backward(
     tape: ForwardTape,
     d_node_logits: Array,
@@ -339,6 +356,11 @@ def backward(
     shape, which is overwritten in full and returned; `train()` passes views
     of Adam's flat gradient buffer. Without `out`, fresh arrays are returned.
     Gradients are returned in tensor order.
+
+    Sums are `np.add.reduce` calls, the ufunc that `np.sum` and `.sum()`
+    dispatch to, on the same operands. The question blocks of `init.w` and
+    `edge_head.w1` (`question_blocks`) are written by `_question_block_grad`
+    from the nonzero rows of `h_q`.
     """
     t, dims = tape.params.tensors, tape.params.dims
     h, d_s = dims.h, dims.d_s
@@ -348,41 +370,41 @@ def backward(
     d_hidden = np.multiply.outer(d_node_logits, t["node_head.w2"][:, 0])
     d_hidden *= tape.node_hidden > 0.0
     np.matmul(tape.node_hidden.T, d_node_logits, out=g["node_head.w2"][:, 0])
-    g["node_head.b2"][0] = d_node_logits.sum()
+    np.add.reduce(d_node_logits, keepdims=True, out=g["node_head.b2"])
     np.matmul(x.T, d_hidden, out=g["node_head.w1"])
-    np.sum(d_hidden, axis=0, out=g["node_head.b1"])
+    np.add.reduce(d_hidden, axis=0, out=g["node_head.b1"])
     dx = d_hidden @ t["node_head.w1"].T
 
     # Each block of the edge head's w1 collects its gradient summed over the
     # axis of the grid it was broadcast along.
     d_pre = np.multiply(d_edge_logits[:, :, None], t["edge_head.w2"][:, 0])
     d_pre *= tape.edge_hidden > 0.0
-    d_src, d_dst = d_pre.sum(axis=1), d_pre.sum(axis=0)
-    d_question = np.sum(d_src, axis=0, out=g["edge_head.b1"])
+    d_src, d_dst = np.add.reduce(d_pre, axis=1), np.add.reduce(d_pre, axis=0)
+    d_question = np.add.reduce(d_src, axis=0, out=g["edge_head.b1"])
     w1, g_w1 = t["edge_head.w1"], g["edge_head.w1"]
     np.matmul(tape.edge_hidden.reshape(-1, h).T, d_edge_logits.reshape(-1),
               out=g["edge_head.w2"][:, 0])
-    g["edge_head.b2"][0] = d_edge_logits.sum()
+    np.add.reduce(d_edge_logits.reshape(-1), keepdims=True, out=g["edge_head.b2"])
     np.matmul(x.T, d_src, out=g_w1[:h])
     np.matmul(x.T, d_dst, out=g_w1[h : 2 * h])
-    np.multiply.outer(tape.h_q, d_question, out=g_w1[2 * h :])
+    _question_block_grad(tape.h_q, d_question, g_w1[2 * h :])
     dx += d_src @ w1[:h].T + d_dst @ w1[h : 2 * h].T
 
     for layer in reversed(range(dims.L)):
         d_pre = _activation_grad(dims, dx, tape.xs[layer + 1])
         np.matmul(tape.xs[layer].T, d_pre, out=g[f"mp{layer}.w_self"])
         np.matmul(tape.means[layer].T, d_pre, out=g[f"mp{layer}.w_msg"])
-        np.sum(d_pre, axis=0, out=g[f"mp{layer}.b"])
+        np.add.reduce(d_pre, axis=0, out=g[f"mp{layer}.b"])
         d_mean = d_pre @ t[f"mp{layer}.w_msg"].T
         # The neighbour-mean operator is symmetric, hence its own transpose.
-        dx = d_pre @ t[f"mp{layer}.w_self"].T + (d_mean.sum(axis=0) - d_mean) / (NUM_SUBJECTS - 1)
+        dx = d_pre @ t[f"mp{layer}.w_self"].T + (np.add.reduce(d_mean, axis=0) - d_mean) / (NUM_SUBJECTS - 1)
 
     d_pre = _activation_grad(dims, dx, tape.x0)
-    d_bias = np.sum(d_pre, axis=0, out=g["init.b"])
+    d_bias = np.add.reduce(d_pre, axis=0, out=g["init.b"])
     w, g_w = t["init.w"], g["init.w"]
     np.matmul(d_pre, w[:d_s].T, out=g["subject_embeddings"])
     np.matmul(t["subject_embeddings"].T, d_pre, out=g_w[:d_s])
-    np.multiply.outer(tape.h_q, d_bias, out=g_w[d_s:])
+    _question_block_grad(tape.h_q, d_bias, g_w[d_s:])
     return {name: g[name] for name in t}
 
 

@@ -6,10 +6,20 @@
 Each run is a new `python3` process with `DIR/src` on its path, BLAS on one
 thread and the process pinned to one CPU. It trains the benchmark's set-up
 router (acceptance dims, 100 questions, 6 epochs, lr 1e-2, edge weight 2)
-three times on one corpus. Its result has the shape of a benchmark result
-with one metric, `step_us`, the least time per step of the three calls, and
-a digest of the trained parameters and loss curve, so that the two trees'
-results can be compared bit for bit. Corpora:
+three times on one corpus. Its result has the shape of a benchmark result,
+with a digest of the trained parameters and loss curve, so that the two
+trees' results can be compared bit for bit. Its metrics:
+
+- `step_us`: the least time per step of the three `train()` calls;
+- `forward_us`, `logit_gradients_us`, `backward_us`, `adam_us`: one step's
+  stages (`ForwardTape`, `logit_gradients`, `backward` into Adam's gradient
+  buffer, `_Adam.step`) on the corpus's first sample, each the least of
+  300 steps timed call by call;
+- `buckets_per_question`: the mean number of nonzero buckets in a
+  question's embedding, the rows of a question block's gradient that are
+  multiplied out.
+
+Corpora:
 
 - `synthetic`: the set-up corpus as generated; its questions hash to the 14
   buckets of the subject keywords;
@@ -35,15 +45,20 @@ from pathlib import Path
 from bench_pairs import run_order, summarize
 
 REPEATS = 3
+STAGE_STEPS = 300
+# Every metric of a child's result; lower is better for each.
+METRICS = ("step_us", "forward_us", "logit_gradients_us", "backward_us", "adam_us",
+           "buckets_per_question")
 CORPORA = {"synthetic": 0.0, "dense-50": 0.5, "dense-75": 0.75, "dense-90": 0.9, "dense": 1.0}
 
 CHILD = r"""
 import hashlib, json, os, sys, time
+from dataclasses import replace
 import numpy as np
 from sdag.embedding import HashedEmbedder
-from sdag.router.loss import LossConfig
-from sdag.router.model import RouterDims, init_params
-from sdag.router.training import TrainConfig, TrainSample, train
+from sdag.router.loss import LossConfig, logit_gradients
+from sdag.router.model import ForwardTape, RouterDims, backward, init_params
+from sdag.router.training import TrainConfig, TrainSample, _Adam, _live_buckets, train
 from sdag.synthetic import SyntheticConfig, dag_dataset, generate_synthetic_records
 
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -68,11 +83,31 @@ for _ in range(repeats):
     start = time.perf_counter()
     result = train(params, samples, config)
     step_us.append((time.perf_counter() - start) / result.steps * 1e6)
+start, first = init_params(dims, seed=0), samples[0]
+optimizer = _Adam(start, _live_buckets(dims.d_q, samples), config.lr)
+params = replace(start, tensors=optimizer.tensors)
+stage_us = {"forward_us": [], "logit_gradients_us": [], "backward_us": [], "adam_us": []}
+clock = time.perf_counter
+for _ in range(int(sys.argv[3])):
+    t0 = clock()
+    tape = ForwardTape(params, first.h_q)
+    t1 = clock()
+    _, d_node, d_edge = logit_gradients(tape, first.node_labels, first.edge_labels, config.loss)
+    t2 = clock()
+    backward(tape, d_node, d_edge, out=optimizer.grads)
+    t3 = clock()
+    optimizer.step()
+    t4 = clock()
+    for name, took in zip(stage_us, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        stage_us[name].append(took * 1e6)
+metrics = {"step_us": min(step_us), **{name: min(us) for name, us in stage_us.items()},
+           "buckets_per_question": float(np.mean([np.count_nonzero(s.h_q) for s in samples]))}
 digest = hashlib.sha256()
 for name in sorted(result.params.tensors):
     digest.update(name.encode() + result.params.tensors[name].tobytes())
 digest.update(json.dumps(result.loss_curve).encode())
-print(json.dumps({"correct": True, "failed": 0, "metrics": {"step_us": {"value": min(step_us)}},
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {name: {"value": value} for name, value in metrics.items()},
                   "step_us": step_us, "buckets_hit": len(hit), "sha256": digest.hexdigest()}))
 """
 
@@ -80,13 +115,14 @@ print(json.dumps({"correct": True, "failed": 0, "metrics": {"step_us": {"value":
 def run_once(tree: Path, corpus: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(CORPORA[corpus]), str(REPEATS)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(CORPORA[corpus]), str(REPEATS),
+                           str(STAGE_STEPS)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def summarize_probe(runs: list[dict]) -> dict:
-    summary = summarize(runs, {"step_us": "lower"})
+    summary = summarize(runs, dict.fromkeys(METRICS, "lower"))
     summary["same_bits"] = len({run["result"]["sha256"] for run in runs}) == 1
     return summary
 

@@ -409,11 +409,12 @@ def _c_encoder(inner: str):
     )
 
 
-def _trace_json(trace: list[dict]) -> str:
-    """One outcome's checked trace list, as `_report_json` writes it."""
+def _trace_json(trace: list[dict], encode) -> str:
+    """One outcome's checked trace list, as `_report_json` writes it with
+    `encode`, the C encoder at the indentation of its records."""
     if not trace:
         return "[]"
-    body = "".join(_c_encoder(" " * 10)(trace, 0))[2:-2]
+    body = "".join(encode(trace, 0))[2:-2]
     return ("[\n        {\n          "
             + body.replace("},\n          {", "\n        },\n        {\n          ")
             + "\n        }\n      ]")
@@ -450,17 +451,14 @@ def _report_json(report: EvalReport) -> str:
                 head.values(), chain.from_iterable(map(dict.values, fields)),
                 chain.from_iterable(map(dict.values, records)))))):
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    encode_field = _c_encoder(" " * 6)
-    encoded: dict[int, str] = {}
+    encode_field, encode_trace = _c_encoder(" " * 6), _c_encoder(" " * 10)
+    texts = {key: _trace_json(trace, encode_trace) for key, trace in distinct.items()}
     out = []
     for field_map, trace in zip(fields, traces):
         before, _, after = "".join(encode_field(field_map, 0)).partition(
             ',\n      "trace": 0,\n      ')
-        text = encoded.get(id(trace))
-        if text is None:
-            text = encoded[id(trace)] = _trace_json(trace)
-        out += ("{\n      ", before[1:], ',\n      "trace": ', text, ",\n      ", after[:-1],
-                "\n    },\n    ")
+        out += ("{\n      ", before[1:], ',\n      "trace": ', texts[id(trace)], ",\n      ",
+                after[:-1], "\n    },\n    ")
     if out:  # the first outcome opens the list and the last one closes it
         out[0], out[-1] = "[\n    {\n      ", "\n    }\n  ]"
     before, _, after = "".join(_c_encoder("  ")(head, 0)).partition(',\n  "outcomes": 0,\n  ')

@@ -397,7 +397,8 @@ def backward(
         np.add.reduce(d_pre, axis=0, out=g[f"mp{layer}.b"])
         d_mean = d_pre @ t[f"mp{layer}.w_msg"].T
         # The neighbour-mean operator is symmetric, hence its own transpose.
-        dx = d_pre @ t[f"mp{layer}.w_self"].T + (np.add.reduce(d_mean, axis=0) - d_mean) / (NUM_SUBJECTS - 1)
+        dx = (d_pre @ t[f"mp{layer}.w_self"].T
+              + (np.add.reduce(d_mean, axis=0) - d_mean) / (NUM_SUBJECTS - 1))
 
     d_pre = _activation_grad(dims, dx, tape.x0)
     d_bias = np.add.reduce(d_pre, axis=0, out=g["init.b"])

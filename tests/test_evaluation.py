@@ -760,6 +760,23 @@ def test_render_json_matches_stdlib_in_every_mode(mode, trained_router, oracle_s
     assert render_report(report, "json") == expected
 
 
+def test_render_json_encodes_each_shared_trace_list_once(oracle_store, monkeypatch):
+    report = evaluate(
+        eval_records(), oracle_client(), oracle_pool(),
+        EvalConfig(mode="no_gnn", seeds=3), store=oracle_store,
+    )
+    # Under all-mock clients, seeds 1 and 2 reuse seed 0's trace lists.
+    distinct = {id(o.trace) for o in report.outcomes}
+    assert len(report.outcomes) == 3 * len(distinct)
+    encoded = []
+    real = sdag.evaluation._trace_json
+    monkeypatch.setattr(sdag.evaluation, "_trace_json",
+                        lambda trace, encode: encoded.append(id(trace)) or real(trace, encode))
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert render_report(report, "json") == expected
+    assert sorted(encoded) == sorted(distinct)
+
+
 def test_render_unknown_format():
     with pytest.raises(ValueError):
         render_report(sample_report(), "xml")

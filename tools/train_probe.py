@@ -14,7 +14,7 @@ trees' results can be compared bit for bit. Its metrics:
 - `forward_us`, `logit_gradients_us`, `backward_us`, `adam_us`: one step's
   stages (`ForwardTape`, `logit_gradients`, `backward` into Adam's gradient
   buffer, `_Adam.step`) on the corpus's first sample, each the least of
-  300 steps timed call by call;
+  `STAGE_STEPS` steps timed call by call;
 - `buckets_per_question`: the mean number of nonzero buckets in a
   question's embedding, the rows of a question block's gradient that are
   multiplied out.
@@ -83,9 +83,9 @@ for _ in range(repeats):
     start = time.perf_counter()
     result = train(params, samples, config)
     step_us.append((time.perf_counter() - start) / result.steps * 1e6)
-start, first = init_params(dims, seed=0), samples[0]
-optimizer = _Adam(start, _live_buckets(dims.d_q, samples), config.lr)
-params = replace(start, tensors=optimizer.tensors)
+initial, first = init_params(dims, seed=0), samples[0]
+optimizer = _Adam(initial, _live_buckets(dims.d_q, samples), config.lr)
+params = replace(initial, tensors=optimizer.tensors)
 stage_us = {"forward_us": [], "logit_gradients_us": [], "backward_us": [], "adam_us": []}
 clock = time.perf_counter
 for _ in range(int(sys.argv[3])):

@@ -1,15 +1,15 @@
 """Multi-agent execution of a subject DAG.
 
-Roles follow graph position: sources are subject experts, intermediate nodes
-are supporting agents, sinks are dominant agents. Each node's prompt embeds
-its upstream replies, and the final answer is extracted from the
-highest-scoring sink's reply. The fully-connected two-round baseline and the
+Roles follow graph position: sinks (nodes that send no edge) are dominant
+agents, sources are subject experts, and the rest are supporting agents. Each
+node's prompt embeds its upstream replies, and the final answer is extracted
+from the reply of the answering node: the top-scored sink, ties going to the
+canonically first subject. The fully-connected two-round baseline and the
 single-model CoT baseline run through the same plan runner, as graphs of
 dependent agent calls. `execute_dag` builds its plan from one pass over the
-DAG's edges: the plan order (Kahn's, with canonical ties), each node's
-dependencies in canonical order, the roles and the answering sink, as
-`topological_order`, `in_neighbors`, `assign_roles` and `pick_final_node`
-give them, and with the same errors in the same order.
+DAG's edges: the plan order (Kahn's, with canonical ties, as
+`topological_order` gives it), each node's dependencies in canonical order,
+the roles and the answering sink.
 
 The runner has two schedules, and one function makes a node's call under
 both. When every backend is simulated, nodes run in a plain loop in plan
@@ -132,20 +132,6 @@ def question_block(question: QuestionRecord | str) -> str:
     if isinstance(question, QuestionRecord):
         return question.question + "\n" + question.formatted_options()
     return question
-
-
-def assign_roles(g: SDag) -> dict[Subject, AgentRole]:
-    """Role from degree: sinks dominant, sources experts, rest supporting."""
-    roles = {}
-    for node in g.nodes:
-        s = node.subject
-        if g.out_degree(s) == 0:
-            roles[s] = _DOMINANT
-        elif g.in_degree(s) == 0:
-            roles[s] = _EXPERT
-        else:
-            roles[s] = _SUPPORTING
-    return roles
 
 
 def _canonical_upstream(upstream: list[tuple[Subject, str]]) -> list[tuple[Subject, str]]:
@@ -495,13 +481,6 @@ def _resolve_backend(selection: dict[Subject, str], pool_backends: dict[str, str
     return model_id, backend
 
 
-def pick_final_node(g: SDag, roles: dict[Subject, AgentRole]) -> Subject:
-    """The answering sink: highest relevance among dominants, canonical ties."""
-    dominants = [n for n in g.nodes if roles[n.subject] is _DOMINANT]
-    best = max(dominants, key=lambda n: (n.score, -n.subject.index))
-    return best.subject
-
-
 def execute_dag(
     g: SDag,
     question: QuestionRecord | str,
@@ -536,7 +515,7 @@ def execute_dag(
             children[src].append(dst)
         elif stray is None:
             stray = src if dst in parents else dst
-    # The answering sink, as pick_final_node picks it from assign_roles.
+    # The answering node: the top-scored sink, canonical ties.
     final_subject = max((n for n in nodes if n.subject not in senders),
                         key=lambda n: (n.score, -_INDEX[n.subject])).subject
     if stray is not None:

@@ -9,8 +9,8 @@ A training step is mostly calls on arrays of 15 to 225 elements, where
 NumPy's Python wrappers cost as much as the work. So the loss calls the
 ufuncs that `np.clip` and `.sum()` dispatch to, `np.maximum`/`np.minimum`
 and `np.add.reduce`, on the same operands in the same order, and
-`logit_gradients` reads the probabilities off the `ForwardTape` instead of
-building its `RouterOutput`. Values and gradients keep their bits.
+`logit_gradients` reads the probabilities off the `ForwardTape`. Values and
+gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def logit_gradients(
     and on the diagonal.
     """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
-    # The probabilities of `tape.output()`, without building the output.
+    # The probabilities of `route()`'s output, read off the tape.
     node_probs = _sigmoid(tape.node_logits)
     edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)[1]
     mask = edge_mask(node_labels)

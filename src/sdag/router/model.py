@@ -21,7 +21,7 @@ evaluation routes its questions in stacked chunks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,33 +140,6 @@ def init_params(
     return RouterParams(dims=dims, tensors=tensors, seed=seed, embedder=embedder)
 
 
-@dataclass
-class RouterOutput:
-    """Per-subject relevance probabilities and pairwise edge probabilities.
-
-    Entry [i, j] of the 15 x 15 edge grids scores the edge i -> j. The
-    diagonal is never produced by the network and must not be consumed; it
-    is stored as 0. An output built from arrays holds them as given. The
-    output of `route()` scores edges per source row on demand: its full grids
-    on first read, or only chosen rows through `edge_rows`.
-    """
-
-    node_probs: Array
-    edge_probs: Array
-    node_logits: Array = field(repr=False, default=None)  # type: ignore[assignment]
-    edge_logits: Array = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def edge_rows(self, rows: list[int]) -> Array:
-        """A 15 x 15 edge probability grid whose rows `rows` are scored.
-
-        Only those rows may be read. The output of `route()` scores just them
-        (none for an empty list), with the same bits as in its full grid, and
-        leaves the other rows 0. The output of a stacked `route()` takes one
-        list of rows per question and returns a (B, 15, 15) stack of grids.
-        """
-        return self.edge_probs
-
-
 def _sigmoid(x: Array) -> Array:
     e = np.exp(-np.abs(x))
     # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with one divide.
@@ -254,12 +227,15 @@ def _edge_output(logits: Array, rows: Array) -> tuple[Array, Array]:
     return logits, probs
 
 
-class _RoutedOutput(RouterOutput):
-    """A router output that scores edges per source row on demand, for one
-    question or, with a leading axis on every array, for a stack.
+class RouterOutput:
+    """Per-subject relevance probabilities and pairwise edge probabilities,
+    for one question or, with a leading axis on every array, for a stack.
 
-    The full grids are scored on first read of `edge_probs` or
-    `edge_logits`, bit for bit as `ForwardTape` scores them.
+    Entry [i, j] of the 15 x 15 edge grids scores the edge i -> j. The
+    diagonal is never produced by the network and must not be consumed; it
+    is stored as 0. Edges are scored per source row on demand: the full grids
+    on first read of `edge_probs` or `edge_logits`, bit for bit as
+    `ForwardTape` scores them, or only chosen rows through `edge_rows`.
     """
 
     def __init__(self, params: RouterParams, x: Array, h_q: Array):
@@ -291,6 +267,8 @@ class _RoutedOutput(RouterOutput):
     edge_probs = property(lambda self: self._edges[1])
 
     def edge_rows(self, rows) -> Array:
+        """An edge probability grid with rows `rows` scored and the others 0;
+        a stacked output takes one list of rows per question."""
         return self._scored(rows)[1]
 
 
@@ -312,16 +290,6 @@ class ForwardTape:
         # The full 15 x 15 grid; its diagonal is computed but never read.
         self.edge_hidden, self.edge_logits = _edge_stage(
             params, self.x_final, self.h_q, (ALL_ROWS,)
-        )
-
-    def output(self) -> RouterOutput:
-        # The tape keeps its own logits, so the output gets copies.
-        edge_logits, edge_probs = _edge_output(self.edge_logits.copy(), ALL_ROWS)
-        return RouterOutput(
-            node_probs=_sigmoid(self.node_logits),
-            edge_probs=edge_probs,
-            node_logits=self.node_logits.copy(),
-            edge_logits=edge_logits,
         )
 
 
@@ -425,4 +393,4 @@ def route(params: RouterParams, h_q: Array) -> RouterOutput:
     x = _init_stage(params, h_q)
     for layer in range(params.dims.L):
         x = _layer_stage(params, layer, x)[1]
-    return _RoutedOutput(params, x, h_q)
+    return RouterOutput(params, x, h_q)

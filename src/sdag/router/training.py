@@ -49,7 +49,8 @@ class TrainSample:
 
     @classmethod
     def from_dag(cls, h_q: Array, dag: SDag) -> "TrainSample":
-        """The 0/1 labels of `SDag.to_labels`, written straight into arrays."""
+        """The 0/1 node vector and adjacency matrix of `dag` over the full
+        taxonomy, as float64 arrays."""
         node_labels = np.zeros(NUM_SUBJECTS)
         for node in dag.nodes:
             node_labels[node.subject.index] = 1.0

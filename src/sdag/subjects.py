@@ -131,15 +131,6 @@ class SDag:
                 return n.score
         raise KeyError(subject.value)
 
-    def in_neighbors(self, subject: Subject) -> list[Subject]:
-        return sorted((e.src for e in self.edges if e.dst == subject), key=lambda s: s.index)
-
-    def out_degree(self, subject: Subject) -> int:
-        return sum(1 for e in self.edges if e.src == subject)
-
-    def in_degree(self, subject: Subject) -> int:
-        return sum(1 for e in self.edges if e.dst == subject)
-
     def topological_order(self) -> list[Subject]:
         """Kahn's algorithm with canonical-order tie-breaking; deterministic.
 
@@ -151,16 +142,6 @@ class SDag:
             indeg[e.dst] += 1
             children[e.src].append(e.dst)
         return kahn_order(indeg, children, len(self.nodes))
-
-    def to_labels(self) -> tuple[list[int], list[list[int]]]:
-        """Binary node vector and adjacency matrix over the full taxonomy."""
-        s_vec = [0] * NUM_SUBJECTS
-        a_mat = [[0] * NUM_SUBJECTS for _ in range(NUM_SUBJECTS)]
-        for n in self.nodes:
-            s_vec[n.subject.index] = 1
-        for e in self.edges:
-            a_mat[e.src.index][e.dst.index] = 1
-        return s_vec, a_mat
 
 
 def kahn_order(indeg: dict[Subject, int], children: dict[Subject, list[Subject]],

@@ -12,7 +12,9 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -37,6 +39,14 @@ TRAIN_SEED = 0
 DATA_SEED = 11
 N_TRAIN = 500
 N_HELD = 120
+
+
+class Probs(NamedTuple):
+    """Node and edge probabilities as `masked_bce_loss` reads them off a
+    router output, given as arrays."""
+
+    node_probs: np.ndarray
+    edge_probs: np.ndarray
 
 
 def slug(subject: Subject) -> str:

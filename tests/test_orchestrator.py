@@ -24,12 +24,10 @@ from sdag.orchestrator import (
     UNAVAILABLE,
     AgentRole,
     _PlanNode,
-    assign_roles,
     execute_dag,
     execute_fcg,
     execute_single_cot,
     extract_answer,
-    pick_final_node,
     question_block,
     render_prompt,
     render_single_cot_prompt,
@@ -81,10 +79,17 @@ def bipartite_dag():
 # -- roles ------------------------------------------------------------------
 
 
+def roles_and_final(g):
+    """Each subject's role label in `execute_dag`'s trace, and its answering subject."""
+    selection, backends = pool_for(g.subjects())
+    trace = execute_dag(g, "Q?", selection, backends, echo_client())
+    return {Subject(r.subject): r.role for r in trace.records}, trace.final_subject
+
+
 def test_roles_chain():
-    roles = assign_roles(chain_dag())
-    assert roles[P] is AgentRole.SUBJECT_EXPERT
-    assert roles[M] is AgentRole.DOMINANT
+    roles, _ = roles_and_final(chain_dag())
+    assert roles[P] == AgentRole.SUBJECT_EXPERT.value
+    assert roles[M] == AgentRole.DOMINANT.value
 
 
 def test_roles_middle_is_supporting():
@@ -92,25 +97,26 @@ def test_roles_middle_is_supporting():
         nodes=[SDagNode(M, 0.4), SDagNode(P, 0.3), SDagNode(C, 0.3)],
         edges=[SDagEdge(M, P, 1.0), SDagEdge(P, C, 1.0)],
     )
-    roles = assign_roles(g)
-    assert roles[M] is AgentRole.SUBJECT_EXPERT
-    assert roles[P] is AgentRole.SUPPORTING
-    assert roles[C] is AgentRole.DOMINANT
+    roles, _ = roles_and_final(g)
+    assert roles[M] == AgentRole.SUBJECT_EXPERT.value
+    assert roles[P] == AgentRole.SUPPORTING.value
+    assert roles[C] == AgentRole.DOMINANT.value
 
 
 def test_roles_single_node_is_dominant():
-    roles = assign_roles(SDag(nodes=[SDagNode(M, 1.0)]))
-    assert roles[M] is AgentRole.DOMINANT
+    roles, _ = roles_and_final(SDag(nodes=[SDagNode(M, 1.0)]))
+    assert roles[M] == AgentRole.DOMINANT.value
 
 
 def test_pick_final_node_highest_score():
-    g = bipartite_dag()
-    assert pick_final_node(g, assign_roles(g)) is M  # 0.35 > 0.3
+    roles, final = roles_and_final(bipartite_dag())
+    assert roles[M] == roles[C] == AgentRole.DOMINANT.value
+    assert final == M.value  # 0.35 > 0.3
 
 
 def test_pick_final_node_tie_canonical():
-    g = SDag(nodes=[SDagNode(C, 0.5), SDagNode(M, 0.5)])
-    assert pick_final_node(g, assign_roles(g)) is M
+    _, final = roles_and_final(SDag(nodes=[SDagNode(C, 0.5), SDagNode(M, 0.5)]))
+    assert final == M.value
 
 
 # -- prompt rendering -------------------------------------------------------
@@ -403,7 +409,7 @@ def test_unmatched_rule_on_first_source_stops_the_plan():
     ])
     g = diamond_dag()
     first, second, _ = g.topological_order()
-    assert g.in_degree(first) == g.in_degree(second) == 0
+    assert not [e for e in g.edges if e.dst in (first, second)]
     selection, backends = pool_for([M, P, B])
     backends[selection[first]] = "norule"
     with pytest.raises(NoRuleMatched):
@@ -749,7 +755,7 @@ def test_execute_dag_properties(g):
         src, dst = by_subject[edge.src.value], by_subject[edge.dst.value]
         assert trace.records.index(src) < trace.records.index(dst)
     for record in trace.records:
-        preds = g.in_neighbors(Subject(record.subject))
+        preds = [e.src for e in g.edges if e.dst.value == record.subject]
         assert record.sim_start == max(
             (by_subject[p.value].sim_finish for p in preds), default=0.0
         )
@@ -816,20 +822,44 @@ def reference_order(g):
     return order
 
 
+def reference_roles(g):
+    """Roles as `assign_roles` gave them, from degree: sinks dominant,
+    sources experts, the rest supporting."""
+    roles = {}
+    for node in g.nodes:
+        s = node.subject
+        if not any(e.src == s for e in g.edges):
+            roles[s] = AgentRole.DOMINANT
+        elif not any(e.dst == s for e in g.edges):
+            roles[s] = AgentRole.SUBJECT_EXPERT
+        else:
+            roles[s] = AgentRole.SUPPORTING
+    return roles
+
+
+def reference_final_node(g, roles):
+    """The answering sink as `pick_final_node` picked it: highest relevance
+    among dominants, canonical ties."""
+    dominants = [n for n in g.nodes if roles[n.subject] is AgentRole.DOMINANT]
+    return max(dominants, key=lambda n: (n.score, -n.subject.index)).subject
+
+
 def reference_plan(g, question, selection, pool_backends):
-    """execute_dag's plan as assign_roles, pick_final_node, topological_order
-    and in_neighbors derived it, with the index of its answering node."""
+    """execute_dag's plan as `assign_roles`, `pick_final_node`,
+    `topological_order` and `SDag.in_neighbors` derived it, with the index of
+    its answering node."""
     missing = [n.subject.value for n in g.nodes if n.subject not in selection]
     if missing:
         raise ValueError(f"selection covers no model for: {missing}")
-    roles = assign_roles(g)
-    final_subject = pick_final_node(g, roles)
+    roles = reference_roles(g)
+    final_subject = reference_final_node(g, roles)
     q_text = question_block(question)
     order = reference_order(g)
     position = {s: i for i, s in enumerate(order)}
     plan = []
     for s in order:
-        deps = tuple(position[d] for d in g.in_neighbors(s))
+        in_neighbors = sorted((e.src for e in g.edges if e.dst == s), key=lambda d: d.index)
+        deps = tuple(position[d] for d in in_neighbors)
         model_id = selection[s]
         backend = pool_backends.get(model_id)
         if backend is None:

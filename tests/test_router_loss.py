@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Probs
 from sdag.router.loss import (
     PROB_EPS,
     LossConfig,
@@ -20,10 +21,11 @@ from sdag.router.model import (
     PAIR_SRC,
     ForwardTape,
     RouterDims,
-    RouterOutput,
     backward,
     init_params,
+    route,
 )
+from sdag.router.training import TrainSample
 from sdag.subjects import (
     NUM_SUBJECTS,
     SDag,
@@ -37,12 +39,8 @@ M, P, B = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY
 
 
 def labels_for(dag: SDag):
-    s, a = dag.to_labels()
-    return np.array(s, dtype=np.float64), np.array(a, dtype=np.float64)
-
-
-def probs_output(node_probs, edge_probs):
-    return RouterOutput(node_probs=np.asarray(node_probs), edge_probs=np.asarray(edge_probs))
+    sample = TrainSample.from_dag(np.zeros(1), dag)
+    return sample.node_labels, sample.edge_labels
 
 
 def test_loss_config_guards():
@@ -75,7 +73,7 @@ def test_single_node_bce_is_ln2():
     s[M.index] = 1.0
     a = np.zeros((15, 15))
     loss = masked_bce_loss(
-        probs_output(node_probs, np.zeros((15, 15))), s, a,
+        Probs(node_probs, np.zeros((15, 15))), s, a,
         LossConfig(lambda_node=1.0, lambda_edge=0.0),
     )
     expected = math.log(2.0) + 14 * (-math.log1p(-PROB_EPS))
@@ -86,7 +84,7 @@ def test_single_node_bce_is_ln2():
 def test_perfect_prediction_loss_is_clamp_floor():
     g = build_ground_truth_dag({M: 0.5, P: 0.3, B: 0.2})
     s, a = labels_for(g)
-    loss = masked_bce_loss(probs_output(s.copy(), a.copy()), s, a)
+    loss = masked_bce_loss(Probs(s.copy(), a.copy()), s, a)
     # Exact probabilities clamp to [eps, 1-eps]; each term is ~1e-7.
     n_unmasked = int(edge_mask(s).sum())
     expected = (15 + n_unmasked) * (-math.log1p(-PROB_EPS))
@@ -104,17 +102,17 @@ def test_masked_edge_contributes_exactly_zero():
     a[P.index, M.index] = 1.0
     edge_probs = np.full((15, 15), 0.5)
     np.fill_diagonal(edge_probs, 0.0)
-    base = masked_bce_loss(probs_output(np.full(15, 0.5), edge_probs.copy()), s, a)
+    base = masked_bce_loss(Probs(np.full(15, 0.5), edge_probs.copy()), s, a)
     perturbed = edge_probs.copy()
     perturbed[B.index, Subject.HISTORY.index] = 0.9
-    after = masked_bce_loss(probs_output(np.full(15, 0.5), perturbed), s, a)
+    after = masked_bce_loss(Probs(np.full(15, 0.5), perturbed), s, a)
     assert base == after  # exact equality
 
 
 def test_lambda_weights_scale_terms():
     g = build_ground_truth_dag({M: 0.5, P: 0.3, B: 0.2})
     s, a = labels_for(g)
-    out = probs_output(np.full(15, 0.3), np.full((15, 15), 0.3))
+    out = Probs(np.full(15, 0.3), np.full((15, 15), 0.3))
     node_only = masked_bce_loss(out, s, a, LossConfig(lambda_node=1.0, lambda_edge=0.0))
     edge_only = masked_bce_loss(out, s, a, LossConfig(lambda_node=0.0, lambda_edge=1.0))
     both = masked_bce_loss(out, s, a, LossConfig(lambda_node=2.0, lambda_edge=3.0))
@@ -122,7 +120,7 @@ def test_lambda_weights_scale_terms():
 
 
 def test_label_validation():
-    out = probs_output(np.full(15, 0.5), np.full((15, 15), 0.5))
+    out = Probs(np.full(15, 0.5), np.full((15, 15), 0.5))
     with pytest.raises(ValueError):
         masked_bce_loss(out, np.full(15, 0.5), np.zeros((15, 15)))  # non-binary
     with pytest.raises(ValueError):
@@ -234,11 +232,11 @@ def test_logit_gradients_and_public_loss_reject_bad_labels(case):
     with pytest.raises(ValueError):
         logit_gradients(tape, s, a)
     with pytest.raises(ValueError):
-        masked_bce_loss(tape.output(), s, a)
+        masked_bce_loss(route(tape.params, tape.h_q), s, a)
 
 
 def test_negative_zero_labels_are_accepted():
-    out = probs_output(np.full(15, 0.5), np.full((15, 15), 0.5))
+    out = Probs(np.full(15, 0.5), np.full((15, 15), 0.5))
     s, a = -np.zeros(15), -np.zeros((15, 15))
     assert masked_bce_loss(out, s, a) == masked_bce_loss(out, np.zeros(15), np.zeros((15, 15)))
 
@@ -246,9 +244,10 @@ def test_negative_zero_labels_are_accepted():
 def test_loss_and_gradients_accepts_list_labels():
     params = init_params(RouterDims(d_s=4, d_q=4, h=4, L=1), seed=1)
     h_q = np.random.default_rng(1).standard_normal(4)
-    s_list, a_list = build_ground_truth_dag({M: 0.7, P: 0.3}).to_labels()
+    s_arr, a_arr = labels_for(build_ground_truth_dag({M: 0.7, P: 0.3}))
+    s_list, a_list = s_arr.astype(int).tolist(), a_arr.astype(int).tolist()
     v_list, g_list = loss_and_gradients(params, h_q, s_list, a_list)
-    v_arr, g_arr = loss_and_gradients(params, h_q, np.array(s_list, float), np.array(a_list, float))
+    v_arr, g_arr = loss_and_gradients(params, h_q, s_arr, a_arr)
     assert v_list == v_arr
     assert all(np.array_equal(g_list[name], g_arr[name]) for name in g_arr)
 

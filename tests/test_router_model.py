@@ -6,16 +6,18 @@ import pytest
 from sdag.errors import DimensionMismatch
 from sdag.router.loss import loss_and_gradients
 from sdag.router.model import (
+    ALL_ROWS,
     NUM_PAIRS,
     PAIR_DST,
     PAIR_SRC,
     ForwardTape,
     RouterDims,
-    RouterOutput,
     RouterParams,
     init_params,
     question_blocks,
     route,
+    _edge_output,
+    _sigmoid,
     tensor_shapes,
 )
 from sdag.subjects import NUM_SUBJECTS
@@ -223,9 +225,12 @@ def test_forward_tape_matches_wrappers():
     params = init_params(dims, seed=9)
     h_q = np.random.default_rng(9).standard_normal(4)
     via_route = route(params, h_q)
-    full = ForwardTape(params, h_q).output()
-    for name in ("node_probs", "node_logits", "edge_probs", "edge_logits"):
-        assert np.array_equal(getattr(full, name), getattr(via_route, name)), name
+    tape = ForwardTape(params, h_q)
+    edge_logits, edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)
+    full = {"node_probs": _sigmoid(tape.node_logits), "node_logits": tape.node_logits,
+            "edge_probs": edge_probs, "edge_logits": edge_logits}
+    for name, want in full.items():
+        assert np.array_equal(want, getattr(via_route, name)), name
 
 
 def test_route_edge_rows_are_the_full_grid_rows_bit_for_bit():
@@ -243,9 +248,3 @@ def test_route_edge_rows_are_the_full_grid_rows_bit_for_bit():
             assert not grid[others].any()
         # No rows asked, none scored.
         assert not route(params, h_q).edge_rows([]).any()
-
-
-def test_edge_rows_of_an_output_built_from_arrays_is_its_grid():
-    edge_probs = np.full((15, 15), 0.25)
-    out = RouterOutput(node_probs=np.full(15, 0.5), edge_probs=edge_probs)
-    assert out.edge_rows([3]) is edge_probs

@@ -4,8 +4,9 @@ The loss clamps with `np.maximum`/`np.minimum` and sums with
 `np.add.reduce`, reads its probabilities off the `ForwardTape`, and
 `backward` writes each question block from the nonzero entries of `h_q`. The
 references below are the earlier formulas, copied: `np.clip` and `.sum()` on
-`tape.output()`, and dense `np.multiply.outer` products. Every value and
-gradient must keep its bytes, signed zeros and NaNs included.
+the probabilities of the tape's logits, and dense `np.multiply.outer`
+products. Every value and gradient must keep its bytes, signed zeros and NaNs
+included.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Probs
 from sdag.errors import NonFiniteLoss
 from sdag.router.loss import (
     PROB_EPS,
@@ -26,7 +28,6 @@ from sdag.router.model import (
     PAIR_SRC,
     ForwardTape,
     RouterDims,
-    RouterOutput,
     _activation_grad,
     _question_block_grad,
     _sigmoid,
@@ -62,7 +63,12 @@ def reference_residual(probs, labels):
 
 
 def reference_logit_gradients(tape, node_labels, edge_labels, config):
-    output = tape.output()
+    # The probabilities of the full router output: self-edges scored 0.
+    edge_logits = tape.edge_logits.copy()
+    np.fill_diagonal(edge_logits, 0.0)
+    edge_probs = _sigmoid(edge_logits)
+    np.fill_diagonal(edge_probs, 0.0)
+    output = Probs(_sigmoid(tape.node_logits), edge_probs)
     mask = edge_mask(node_labels)
     value = reference_masked_bce(output, node_labels, edge_labels, config)
     d_node = config.lambda_node * reference_residual(output.node_probs, node_labels)
@@ -225,8 +231,7 @@ def test_clamp_edges_are_distinct_floats():
        **LABELS)
 def test_masked_bce_loss_matches_clip_and_sum(node_probs, edge_probs, nodes, edges, lambda_edge):
     node_labels, edge_labels = _labels(nodes, edges)
-    output = RouterOutput(node_probs=np.array(node_probs),
-                          edge_probs=np.array(edge_probs).reshape(NUM_SUBJECTS, NUM_SUBJECTS))
+    output = Probs(np.array(node_probs), np.array(edge_probs).reshape(NUM_SUBJECTS, NUM_SUBJECTS))
     config = LossConfig(lambda_edge=lambda_edge)
     value = masked_bce_loss(output, node_labels, edge_labels, config)
     expected = reference_masked_bce(output, node_labels, edge_labels, config)
@@ -289,7 +294,7 @@ def test_nan_probability_raises_the_same_nonfinite_loss():
     node_labels, edge_labels = _labels([True] + [False] * 14, [False] * NUM_SUBJECTS**2)
     node_probs = np.full(NUM_SUBJECTS, 0.5)
     node_probs[3] = np.nan
-    output = RouterOutput(node_probs=node_probs, edge_probs=np.full((15, 15), 0.5))
+    output = Probs(node_probs, np.full((15, 15), 0.5))
     with pytest.raises(NonFiniteLoss) as expected:
         reference_masked_bce(output, node_labels, edge_labels, LossConfig())
     with pytest.raises(NonFiniteLoss) as raised:

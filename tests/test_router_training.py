@@ -18,7 +18,7 @@ from sdag.router.model import RouterDims, init_params, question_blocks, tensor_s
 from sdag.router.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainSample, train, train_router,
 )
-from sdag.subjects import SDag, Subject, build_ground_truth_dag
+from sdag.subjects import NUM_SUBJECTS, SDag, Subject, build_ground_truth_dag
 
 M, P, B, C = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY, Subject.CHEMISTRY
 
@@ -117,13 +117,25 @@ def test_train_sample_stores_float64_label_arrays():
     assert sample.node_labels[M.index] == 1.0 and sample.edge_labels[P.index, M.index] == 1.0
 
 
+def reference_labels(dag: SDag) -> tuple[list[int], list[list[int]]]:
+    """The labels as `SDag.to_labels` built them: a binary node vector and
+    adjacency matrix over the full taxonomy, as lists."""
+    s_vec = [0] * NUM_SUBJECTS
+    a_mat = [[0] * NUM_SUBJECTS for _ in range(NUM_SUBJECTS)]
+    for n in dag.nodes:
+        s_vec[n.subject.index] = 1
+    for e in dag.edges:
+        a_mat[e.src.index][e.dst.index] = 1
+    return s_vec, a_mat
+
+
 def test_train_sample_labels_equal_to_labels_arrays():
     emb = HashedEmbedder(d=16)
     dags = [build_ground_truth_dag({M: 0.4, P: 0.3, C: 0.2, B: 0.1}),
             build_ground_truth_dag({Subject.LAW: 1.0}), SDag()]
     for dag in dags:
         sample = TrainSample.from_dag(emb.embed("math"), dag)
-        node_labels, edge_labels = dag.to_labels()
+        node_labels, edge_labels = reference_labels(dag)
         for got, want in ((sample.node_labels, node_labels), (sample.edge_labels, edge_labels)):
             want = np.asarray(want, dtype=np.float64)
             assert got.dtype == want.dtype and got.flags.c_contiguous

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdag.errors import EmptyAfterThreshold, UnknownSubject
+from sdag.router.training import TrainSample
 from sdag.subjects import (
     MAX_DAG_NODES,
     NUM_SUBJECTS,
@@ -243,13 +244,14 @@ def test_topological_order_deterministic_ties():
 
 def test_to_labels_shapes():
     g = build_ground_truth_dag({M: 0.5, P: 0.3, B: 0.2})
-    s_vec, a_mat = g.to_labels()
-    assert len(s_vec) == 15 and len(a_mat) == 15
+    sample = TrainSample.from_dag(np.zeros(1), g)
+    s_vec, a_mat = sample.node_labels, sample.edge_labels
+    assert s_vec.shape == (15,) and a_mat.shape == (15, 15)
     assert s_vec[M.index] == s_vec[P.index] == s_vec[B.index] == 1
-    assert sum(s_vec) == 3
-    assert a_mat[P.index][M.index] == 1
-    assert a_mat[B.index][M.index] == 1
-    assert sum(sum(row) for row in a_mat) == 2
+    assert s_vec.sum() == 3
+    assert a_mat[P.index, M.index] == 1
+    assert a_mat[B.index, M.index] == 1
+    assert a_mat.sum() == 2
 
 
 def test_dominant_subject_tie_breaks_canonically():

@@ -189,21 +189,6 @@ def _simulated_latency(seed: int, backend: str, req: ChatRequest, lo: float, hi:
     return (lo + frac * (hi - lo)) / 1000.0
 
 
-def mock_complete(script: list[MockRule], req: ChatRequest, *, seed: int = 0,
-                  latency_ms: tuple[float, float] = (5.0, 50.0)) -> ChatResponse:
-    """Deterministic scripted completion; first matching rule wins. A reply
-    placeholder whose field the request's metadata lacks stays as written."""
-    for rule in script:
-        if rule.matches(req):
-            text = rule.head
-            metadata = req.metadata
-            for key, placeholder, tail in rule.placeholders:
-                text = f"{text}{metadata.get(key, placeholder)!s}{tail}"
-            latency = _simulated_latency(seed, req.backend, req, *latency_ms)
-            return ChatResponse(text, latency, 1, req.backend)
-    raise NoRuleMatched(f"backend {req.backend!r}: no rule matched and no default")
-
-
 class MockBackend:
     def __init__(self, config: BackendConfig):
         self.config = config
@@ -214,9 +199,18 @@ class MockBackend:
         return True
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        return mock_complete(
-            self.rules, req, seed=self.config.seed, latency_ms=self.config.latency_ms
-        )
+        """Deterministic scripted completion; first matching rule wins. A reply
+        placeholder whose field the request's metadata lacks stays as written."""
+        for rule in self.rules:
+            if rule.matches(req):
+                text = rule.head
+                metadata = req.metadata
+                for key, placeholder, tail in rule.placeholders:
+                    text = f"{text}{metadata.get(key, placeholder)!s}{tail}"
+                config = self.config
+                latency = _simulated_latency(config.seed, req.backend, req, *config.latency_ms)
+                return ChatResponse(text, latency, 1, req.backend)
+        raise NoRuleMatched(f"backend {req.backend!r}: no rule matched and no default")
 
 
 # -- remote -----------------------------------------------------------------

@@ -223,10 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True, help="raw questions JSONL")
     p.add_argument("--out", required=True, help="curated dataset JSONL")
     _add_backends_flag(p)
-    p.add_argument("--backend", default="annotator", help="annotation backend name")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profiling-size", type=_SIZE, default=200)
-    p.add_argument("--train-ratio", type=_FRACTION, default=0.7)
+    p.add_argument("--backend", default=CurationConfig.backend, help="annotation backend name")
+    p.add_argument("--seed", type=int, default=CurationConfig.seed)
+    p.add_argument("--profiling-size", type=_SIZE, default=CurationConfig.profiling_size)
+    p.add_argument("--train-ratio", type=_FRACTION, default=CurationConfig.train_ratio)
     p.add_argument("--profiling-from-test", action="store_true")
     p.set_defaults(func=_cmd_curate)
 
@@ -234,15 +234,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="curated dataset JSONL")
     p.add_argument("--out", required=True, help="checkpoint JSON")
     p.add_argument("--split", default="train")
-    p.add_argument("--epochs", type=_COUNT, default=30)
-    p.add_argument("--lr", type=_POSITIVE, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_COUNT, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_POSITIVE, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--threshold", type=float, default=0.1, help="annotation weight cutoff")
     p.add_argument("--embedding-dim", type=_ranged(int, lambda v: v >= 2, "an integer >= 2"),
-                   default=256)
-    p.add_argument("--subject-dim", type=_COUNT, default=64)
-    p.add_argument("--hidden-dim", type=_COUNT, default=128)
-    p.add_argument("--layers", type=_COUNT, default=2)
+                   default=RouterDims.d_q)
+    p.add_argument("--subject-dim", type=_COUNT, default=RouterDims.d_s)
+    p.add_argument("--hidden-dim", type=_COUNT, default=RouterDims.h)
+    p.add_argument("--layers", type=_COUNT, default=RouterDims.L)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("profile", help="score pool models on the profiling split")
@@ -263,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backends_flag(p)
     p.add_argument("--mode", choices=["sdag", "fcg"], default="sdag")
     p.add_argument("--trace", default="trace.jsonl", help="trace JSONL path")
-    p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
-    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5,
+    p.add_argument("--node-threshold", type=_THRESHOLD, default=GenerationConfig.node_threshold)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=GenerationConfig.edge_threshold,
                    help="edge probability threshold for --mode sdag (fcg scores no edges)")
     p.set_defaults(func=_cmd_run)
 
@@ -276,14 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="router checkpoint JSON")
     p.add_argument("--profiles", help="profile store JSON")
     p.add_argument("--split", default="test")
-    p.add_argument("--seeds", type=_COUNT, default=3)
-    p.add_argument("--parallelism", type=_COUNT, default=1,
+    p.add_argument("--seeds", type=_COUNT, default=EvalConfig.seeds)
+    p.add_argument("--parallelism", type=_COUNT, default=EvalConfig.parallelism,
                    help="questions run at once; the report does not depend on it")
     p.add_argument("--single-cot-model", help="pool model id for single_cot mode")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--node-threshold", type=_THRESHOLD, default=0.5)
-    p.add_argument("--edge-threshold", type=_THRESHOLD, default=0.5,
+    p.add_argument("--node-threshold", type=_THRESHOLD, default=GenerationConfig.node_threshold)
+    p.add_argument("--edge-threshold", type=_THRESHOLD, default=GenerationConfig.edge_threshold,
                    help="edge probability threshold for the routed DAGs of sdag and "
                    "random_model (fcg scores no edges)")
     p.set_defaults(func=_cmd_eval)

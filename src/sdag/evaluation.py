@@ -103,18 +103,6 @@ class QuestionOutcome:
     wall_time: float
     trace: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "question_id": self.question_id,
-            "answer": self.answer,
-            "gold": self.gold,
-            "correct": self.correct,
-            "llm_calls": self.llm_calls,
-            "wall_time": self.wall_time,
-            "trace": self.trace,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -129,17 +117,8 @@ class EvalReport:
     outcomes: list[QuestionOutcome]
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seeds": self.seeds,
-            "questions": self.questions,
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "avg_seconds": self.avg_seconds,
-            "avg_calls": self.avg_calls,
-            "total_llm_calls": self.total_llm_calls,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
+        """The report as JSON-ready data: its fields and each outcome's."""
+        return {**vars(self), "outcomes": [dict(vars(o)) for o in self.outcomes]}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -178,34 +157,18 @@ def evaluate(
     pool_backends = {e.model_id: e.backend for e in pool}
     model_ids = sorted(pool_backends)
 
-    uses_router = params is not None
-    if cfg.mode == "sdag":
-        _require(uses_router and embedder is not None, "sdag mode needs a router checkpoint")
-        _require(store is not None, "sdag mode needs capability profiles")
-    if cfg.mode in ("no_gnn", "fcg") and not uses_router:
-        _require(
-            all(r.subjects for r in records),
-            f"{cfg.mode} mode without a checkpoint needs subject annotations",
-        )
-    if cfg.mode == "no_gnn":
-        _require(store is not None, "no_gnn mode needs capability profiles")
-        _require(all(r.subjects for r in records), "no_gnn mode needs subject annotations")
-    if cfg.mode == "fcg":
-        _require(store is not None, "fcg mode needs capability profiles")
-    if cfg.mode in ("fcg", "random_model") and uses_router:
-        _require(embedder is not None,
-                 f"{cfg.mode} mode with a router checkpoint needs its embedder")
-    if cfg.mode == "random_model" and not uses_router:
-        _require(
-            all(r.subjects for r in records),
-            "random_model mode without a checkpoint needs subject annotations",
-        )
+    # sdag always routes; fcg and random_model route when given a checkpoint,
+    # and otherwise build their DAGs from the annotations, as no_gnn does.
+    routed = params is not None and cfg.mode in ("sdag", "fcg", "random_model")
+    _require(embedder is not None if routed else cfg.mode != "sdag",
+             f"{cfg.mode} mode needs a router checkpoint and its embedder")
+    _require(store is not None or cfg.mode not in ("sdag", "no_gnn", "fcg"),
+             f"{cfg.mode} mode needs capability profiles")
+    _require(routed or cfg.mode == "single_cot" or all(r.subjects for r in records),
+             f"{cfg.mode} mode without a routed DAG needs subject annotations")
     single_cot_model = cfg.single_cot_model or model_ids[0]
-    if cfg.mode == "single_cot":
-        _require(
-            single_cot_model in pool_backends,
-            f"single_cot model {single_cot_model!r} is not in the pool",
-        )
+    _require(cfg.mode != "single_cot" or single_cot_model in pool_backends,
+             f"single_cot model {single_cot_model!r} is not in the pool")
     # Profiles are fixed for the whole run, so every subject's model is chosen
     # once; a question then only looks its subjects up.
     table = (
@@ -219,7 +182,7 @@ def evaluate(
     # reads only the nodes, so fcg scores no edges.
     if cfg.mode == "single_cot":
         dags = []  # one model answers without a DAG
-    elif cfg.mode == "no_gnn" or not uses_router:
+    elif not routed:
         dags = [build_ground_truth_dag(r.subjects) for r in records]
     else:
         dags = [

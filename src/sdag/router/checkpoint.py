@@ -9,6 +9,7 @@ tensor by tensor into a temporary file that replaces the target.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,7 @@ def save_checkpoint(params: RouterParams, path: str | Path) -> None:
     `atomic_writer`, so a failed save (say, a tensor that turned non-finite)
     leaves any previous checkpoint intact.
     """
-    dims = {
-        "d_s": params.dims.d_s,
-        "d_q": params.dims.d_q,
-        "h": params.dims.h,
-        "L": params.dims.L,
-        "activation": params.dims.activation,
-    }
+    dims = asdict(params.dims)
     with atomic_writer(path) as f:
         # Top-level keys in sorted order, as sort_keys=True would emit them.
         f.write(f'{{"dims":{_dumps(dims)},"embedder":{_dumps(params.embedder)},')

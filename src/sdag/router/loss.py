@@ -1,9 +1,10 @@
 """Masked multi-task objective for the routing network.
 
-Total loss is a weighted sum of node-relevance BCE over all 15 subjects and
-edge BCE over ordered subject pairs. A pair is excluded from the edge term
-exactly when both endpoints are inactive in the ground truth, so the network
-is never penalized for edges between subjects the question does not involve.
+Total loss is the node-relevance BCE over all 15 subjects plus `lambda_edge`
+times the edge BCE over ordered subject pairs. A pair is excluded from the
+edge term exactly when both endpoints are inactive in the ground truth, so
+the network is never penalized for edges between subjects the question does
+not involve.
 
 A training step is mostly calls on arrays of 15 to 225 elements, where
 NumPy's Python wrappers cost as much as the work. So the loss calls the
@@ -43,14 +44,13 @@ OFF_DIAGONAL = ~np.eye(NUM_SUBJECTS, dtype=bool)
 
 @dataclass(frozen=True)
 class LossConfig:
-    lambda_node: float = 1.0
+    """The edge term's weight; the node term's is 1."""
+
     lambda_edge: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_node < 0 or self.lambda_edge < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.lambda_node == 0 and self.lambda_edge == 0:
-            raise ValueError("at least one loss weight must be positive")
+        if self.lambda_edge < 0:
+            raise ValueError("the edge loss weight must be non-negative")
 
 
 def _check_labels(node_labels: Array, edge_labels: Array) -> tuple[Array, Array]:
@@ -109,7 +109,7 @@ def _masked_bce(
                              + (1.0 - node_labels) * np.log(1.0 - node_p))
     edge_sum = np.add.reduce((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p))
                              * pair_mask)
-    loss = config.lambda_node * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
+    loss = (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
     return float(loss)
@@ -128,9 +128,9 @@ def logit_gradients(
 ) -> tuple[float, Array, Array]:
     """Objective value and its gradient at the node and edge logits.
 
-    The BCE gradient at a logit is lambda * (p - y), zero where the clamp is
-    active. The edge gradient is a 15 x 15 grid, exactly zero on masked pairs
-    and on the diagonal.
+    The BCE gradient at a logit is (p - y), times `lambda_edge` for an edge,
+    and zero where the clamp is active. The edge gradient is a 15 x 15 grid,
+    exactly zero on masked pairs and on the diagonal.
     """
     node_labels, edge_labels = _check_labels(node_labels, edge_labels)
     # The probabilities of `route()`'s output, read off the tape.
@@ -138,7 +138,7 @@ def logit_gradients(
     edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)[1]
     mask = edge_mask(node_labels)
     value = _masked_bce(node_probs, edge_probs, node_labels, edge_labels, mask, config)
-    d_node = config.lambda_node * _clamped_residual(node_probs, node_labels)
+    d_node = _clamped_residual(node_probs, node_labels)
     d_edge = config.lambda_edge * mask * _clamped_residual(edge_probs, edge_labels)
     return value, d_node, d_edge
 

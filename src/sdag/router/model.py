@@ -111,14 +111,6 @@ class RouterParams:
             if not np.all(np.isfinite(self.tensors[name])):
                 raise ValueError(f"{name}: non-finite values")
 
-    def copy(self) -> "RouterParams":
-        return RouterParams(
-            dims=self.dims,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            seed=self.seed,
-            embedder=self.embedder,
-        )
-
 
 def init_params(
     dims: RouterDims, seed: int = 0, scale: float = 0.1, embedder: str | None = None

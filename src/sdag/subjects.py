@@ -168,7 +168,7 @@ def kahn_order(indeg: dict[Subject, int], children: dict[Subject, list[Subject]]
 class ValidationReport:
     """Structural violations found in a graph; empty means valid."""
 
-    violations: list[str] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list, init=False)
 
     @property
     def ok(self) -> bool:

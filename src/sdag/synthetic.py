@@ -31,41 +31,35 @@ from .subjects import (
 PLANTABLE = tuple(s for s in SUBJECTS if s is not Subject.OTHER)
 
 
+# The keyword counts of the module docstring. With at most 4 subjects the
+# smallest planted weight is 2/20 = 0.1, so the ground-truth rule never drops a
+# planted subject, and dominant counts clear the mean by at least 0.75 in either
+# direction, so dominance labels have a wide margin.
+MIN_SUBJECTS, MAX_SUBJECTS = 2, 4
+SUPPORT_COUNT = 2
+DOMINANT_COUNTS = (5, 6)
+N_OPTIONS = 4
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_questions: int = 100
     seed: int = 0
-    min_subjects: int = 2
-    max_subjects: int = 4
-    # Supports repeat twice, dominants 5-6 times. With at most 4 subjects the
-    # smallest planted weight is 2/20 = 0.1, so the ground-truth rule never
-    # drops a planted subject, and dominant counts clear the mean by at least
-    # 0.75 in either direction, so dominance labels have a wide margin.
-    support_count: int = 2
-    dominant_counts: tuple[int, int] = (5, 6)
-    n_options: int = 4
 
     def __post_init__(self):
         if self.n_questions < 1:
             raise ValueError("n_questions must be >= 1")
-        if not (2 <= self.min_subjects <= self.max_subjects <= len(PLANTABLE)):
-            raise ValueError("subject count bounds are inconsistent")
-        lo, hi = self.dominant_counts
-        if not (1 <= self.support_count < lo <= hi):
-            raise ValueError("dominant counts must exceed the support count")
-        if not (2 <= self.n_options <= len(OPTION_LABELS)):
-            raise ValueError(f"n_options must lie in [2, {len(OPTION_LABELS)}]")
 
 
-def _draw_weights(rng: np.random.Generator, cfg: SyntheticConfig) -> tuple[SubjectWeights, dict]:
-    n = int(rng.integers(cfg.min_subjects, cfg.max_subjects + 1))
+def _draw_weights(rng: np.random.Generator) -> tuple[SubjectWeights, dict]:
+    n = int(rng.integers(MIN_SUBJECTS, MAX_SUBJECTS + 1))
     picks = rng.choice(len(PLANTABLE), size=n, replace=False)
     subjects = sorted((PLANTABLE[i] for i in picks), key=lambda s: s.index)
     n_dominant = int(rng.integers(1, n))
-    dominant_count = int(rng.integers(cfg.dominant_counts[0], cfg.dominant_counts[1] + 1))
+    dominant_count = int(rng.integers(DOMINANT_COUNTS[0], DOMINANT_COUNTS[1] + 1))
     dominant_slots = {int(i) for i in rng.choice(n, size=n_dominant, replace=False)}
     counts = {
-        s: dominant_count if i in dominant_slots else cfg.support_count
+        s: dominant_count if i in dominant_slots else SUPPORT_COUNT
         for i, s in enumerate(subjects)
     }
     total = sum(counts.values())
@@ -85,13 +79,13 @@ def generate_synthetic_records(cfg: SyntheticConfig = SyntheticConfig()) -> list
     rng = np.random.default_rng(cfg.seed)
     records = []
     for i in range(cfg.n_questions):
-        weights, counts = _draw_weights(rng, cfg)
-        gold = OPTION_LABELS[int(rng.integers(0, cfg.n_options))]
+        weights, counts = _draw_weights(rng)
+        gold = OPTION_LABELS[int(rng.integers(0, N_OPTIONS))]
         records.append(
             QuestionRecord(
                 id=f"q{i:05d}",
                 question=_question_text(counts),
-                options=[f"choice {j + 1}" for j in range(cfg.n_options)],
+                options=[f"choice {j + 1}" for j in range(N_OPTIONS)],
                 gold=gold,
                 subjects=weights,
                 split=None,
@@ -100,11 +94,11 @@ def generate_synthetic_records(cfg: SyntheticConfig = SyntheticConfig()) -> list
     return records
 
 
-def dag_dataset(records: list[QuestionRecord], threshold: float = 0.1) -> list[tuple[str, SDag]]:
+def dag_dataset(records: list[QuestionRecord]) -> list[tuple[str, SDag]]:
     """(question text, ground-truth DAG) training pairs from annotated records."""
     pairs = []
     for record in records:
         if record.subjects is None:
             raise ValueError(f"record {record.id}: no subject annotation")
-        pairs.append((record.question, build_ground_truth_dag(record.subjects, threshold)))
+        pairs.append((record.question, build_ground_truth_dag(record.subjects)))
     return pairs

@@ -26,7 +26,6 @@ from sdag.backends import (
     build_client,
     load_backend_configs,
     _simulated_latency,
-    mock_complete,
     parse_rules,
 )
 from sdag.errors import AuthError, NoRuleMatched, Timeout, TransportError
@@ -78,6 +77,10 @@ def test_backend_config_validation():
 # -- mock scripts -----------------------------------------------------------
 
 
+def mock_backend(script: list) -> MockBackend:
+    return MockBackend(BackendConfig(name="b", kind="mock", script=script))
+
+
 def sample_mock_client():
     configs = load_backend_configs(SAMPLES / "backends.sample.json")
     mock = [c for c in configs if c.name == "mock-echo"]
@@ -124,25 +127,25 @@ def test_mock_first_match_wins():
 
 
 def test_mock_equals_field_rule():
-    rules = parse_rules([
+    backend = mock_backend([
         {"match": {"metadata": {"field": "candidate", "equals_field": "gold"}}, "reply": "same"},
         {"reply": "different"},
     ])
-    hit = mock_complete(rules, ChatRequest(backend="b", user="u", metadata={"candidate": "A", "gold": "A"}))
-    miss = mock_complete(rules, ChatRequest(backend="b", user="u", metadata={"candidate": "A", "gold": "B"}))
+    hit = backend.complete(ChatRequest(backend="b", user="u", metadata={"candidate": "A", "gold": "A"}))
+    miss = backend.complete(ChatRequest(backend="b", user="u", metadata={"candidate": "A", "gold": "B"}))
     assert hit.text == "same"
     assert miss.text == "different"
 
 
 def test_mock_no_rule_matched():
-    rules = parse_rules([{"match": {"substring": "never"}, "reply": "x"}])
+    backend = mock_backend([{"match": {"substring": "never"}, "reply": "x"}])
     with pytest.raises(NoRuleMatched):
-        mock_complete(rules, ChatRequest(backend="b", user="u"))
+        backend.complete(ChatRequest(backend="b", user="u"))
 
 
 def test_mock_unknown_placeholder_left_verbatim():
-    rules = parse_rules([{"reply": "keep {unknown} and fill {gold}"}])
-    reply = mock_complete(rules, ChatRequest(backend="b", user="u", metadata={"gold": "A"}))
+    backend = mock_backend([{"reply": "keep {unknown} and fill {gold}"}])
+    reply = backend.complete(ChatRequest(backend="b", user="u", metadata={"gold": "A"}))
     assert reply.text == "keep {unknown} and fill A"
 
 
@@ -303,15 +306,15 @@ METADATA_VALUE = st.one_of(
     ),
 )
 def test_reply_renders_like_the_regex_substitution(template, metadata):
-    rules = parse_rules([{"reply": template}])
-    reply = mock_complete(rules, ChatRequest(backend="b", user="u", metadata=metadata))
+    backend = mock_backend([{"reply": template}])
+    reply = backend.complete(ChatRequest(backend="b", user="u", metadata=metadata))
     assert reply.text == regex_reply(template, metadata)
 
 
 def test_reply_without_placeholder_is_returned_as_is():
     def reply(template, metadata):
         req = ChatRequest(backend="b", user="u", metadata=metadata)
-        return mock_complete(parse_rules([{"reply": template}]), req).text
+        return mock_backend([{"reply": template}]).complete(req).text
 
     assert reply("plain <<A>>", {"gold": "B"}) == "plain <<A>>"
     assert reply("<<{gold}>> {missing}", {"gold": "B"}) == "<<B>> {missing}"

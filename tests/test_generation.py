@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sdag.embedding import HashedEmbedder
 from sdag.router.generation import GenerationConfig, assemble_dag, generate_sdag, kept_nodes
-from sdag.router.model import RouterDims, init_params, route
+from sdag.router.model import RouterDims, RouterParams, init_params, route
 from sdag.subjects import MAX_DAG_NODES, SUBJECTS, Subject, validate_dag
 
 M, P, B = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY
@@ -164,9 +164,11 @@ def test_logit_ordering_invariant_under_head_scaling():
         params = init_params(dims, seed=seed)
         base = route(params, h_q)
         for c in (0.5, 2.0, 10.0):
-            scaled = params.copy()
-            scaled.tensors["node_head.w2"] = scaled.tensors["node_head.w2"] * c
-            scaled.tensors["node_head.b2"] = scaled.tensors["node_head.b2"] * c
+            scaled = RouterParams(dims, {
+                **params.tensors,
+                "node_head.w2": params.tensors["node_head.w2"] * c,
+                "node_head.b2": params.tensors["node_head.b2"] * c,
+            })
             out = route(scaled, h_q)
             assert np.array_equal(
                 np.argsort(base.node_logits, kind="stable"),

@@ -5,7 +5,9 @@ The loss clamps with `np.maximum`/`np.minimum` and sums with
 `backward` writes each question block from the nonzero entries of `h_q`. The
 references below are the earlier formulas, copied: `np.clip` and `.sum()` on
 the probabilities of the tape's logits, and dense `np.multiply.outer`
-products. Every value and gradient must keep its bytes, signed zeros and NaNs
+products. The node term's weight, once `LossConfig.lambda_node`, stays the
+`1.0 *` that every caller used, so dropping the multiply is checked too.
+Every value and gradient must keep its bytes, signed zeros and NaNs
 included.
 """
 
@@ -52,7 +54,7 @@ def reference_masked_bce(output, node_labels, edge_labels, config):
     pair_mask = mask[PAIR_SRC, PAIR_DST]
     node_sum = (node_labels * np.log(node_p) + (1.0 - node_labels) * np.log(1.0 - node_p)).sum()
     edge_sum = ((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p)) * pair_mask).sum()
-    loss = config.lambda_node * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
+    loss = 1.0 * (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
     return float(loss)
@@ -71,7 +73,7 @@ def reference_logit_gradients(tape, node_labels, edge_labels, config):
     output = Probs(_sigmoid(tape.node_logits), edge_probs)
     mask = edge_mask(node_labels)
     value = reference_masked_bce(output, node_labels, edge_labels, config)
-    d_node = config.lambda_node * reference_residual(output.node_probs, node_labels)
+    d_node = 1.0 * reference_residual(output.node_probs, node_labels)
     d_edge = config.lambda_edge * mask * reference_residual(output.edge_probs, edge_labels)
     return value, d_node, d_edge
 

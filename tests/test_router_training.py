@@ -41,7 +41,7 @@ def test_train_config_guards():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(loss=LossConfig(lambda_node=0.0, lambda_edge=0.0))
+        TrainConfig(loss=LossConfig(lambda_edge=-1.0))
 
 
 def test_train_empty_dataset_rejected():

@@ -16,7 +16,8 @@ default, and each dataclass or NamedTuple field with a default (`init=False`
 fields aside), must be passed by some call in the program's code to that
 name, by keyword, by position or through `*`/`**`. A file loaded with
 `RouterDims(**payload["dims"])` sets every field of the record. A value that
-only the tests pass is a constant.
+only the tests pass is a constant. Calls too are matched by name alone, so a
+call to another function of the same name counts.
 """
 
 import ast

@@ -26,6 +26,7 @@ from .evaluation import MODES, EvalConfig, evaluate, render_report
 from .fileio import atomic_writer
 from .orchestrator import execute_dag, execute_fcg
 from .profiling import (
+    PROFILE_SEED,
     check_pool_backends,
     load_pool,
     load_profiles,
@@ -37,7 +38,7 @@ from .router.checkpoint import load_checkpoint, save_checkpoint
 from .router.generation import GenerationConfig, generate_sdag
 from .router.model import RouterDims, RouterParams
 from .router.training import TrainConfig, train_router
-from .subjects import OPTION_LABELS, build_ground_truth_dag
+from .subjects import OPTION_LABELS, WEIGHT_THRESHOLD, build_ground_truth_dag
 
 logger = logging.getLogger(__name__)
 
@@ -237,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_COUNT, default=TrainConfig.epochs)
     p.add_argument("--lr", type=_POSITIVE, default=TrainConfig.lr)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--threshold", type=float, default=0.1, help="annotation weight cutoff")
+    p.add_argument("--threshold", type=float, default=WEIGHT_THRESHOLD,
+                   help="annotation weight cutoff")
     p.add_argument("--embedding-dim", type=_ranged(int, lambda v: v >= 2, "an integer >= 2"),
                    default=RouterDims.d_q)
     p.add_argument("--subject-dim", type=_COUNT, default=RouterDims.d_s)
@@ -251,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="profile store JSON")
     _add_backends_flag(p)
     p.add_argument("--split", default="profiling")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PROFILE_SEED)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("run", help="answer one question through the pipeline")

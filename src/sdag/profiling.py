@@ -37,6 +37,8 @@ from .subjects import (
 )
 
 PROFILE_STORE_VERSION = 1
+# Recorded in a store's provenance; no draw of profiling depends on it.
+PROFILE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def run_profiling(
     pool: list[ModelPoolEntry],
     split: list[QuestionRecord],
     client: ChatClient,
-    seed: int = 0,
+    seed: int = PROFILE_SEED,
 ) -> ProfileStore:
     """Grade every pool model on every profiling question and build profiles.
 

@@ -10,13 +10,17 @@ A training step is mostly calls on arrays of 15 to 225 elements, where
 NumPy's Python wrappers cost as much as the work. So the loss calls the
 ufuncs that `np.clip` and `.sum()` dispatch to, `np.maximum`/`np.minimum`
 and `np.add.reduce`, on the same operands in the same order, and
-`logit_gradients` reads the probabilities off the `ForwardTape`. Values and
-gradients keep their bits.
+`logit_gradients` reads the probabilities off the `ForwardTape`. The checks
+and masks that come from the labels alone make a `Target`, which `train()`
+prepares for all its samples at once. A term is `log(p)` where y = 1 and
+`log(1 - p)` where y = 0, the bits of `y*log(p) + (1-y)*log(1-p)`, whose
+other product is -0.0. Values and gradients keep their bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,26 +57,47 @@ class LossConfig:
             raise ValueError("the edge loss weight must be non-negative")
 
 
-def _check_labels(node_labels: Array, edge_labels: Array) -> tuple[Array, Array]:
-    node_labels = np.asarray(node_labels, dtype=np.float64)
-    edge_labels = np.asarray(edge_labels, dtype=np.float64)
-    if node_labels.shape != (NUM_SUBJECTS,):
-        raise ValueError(f"node labels have shape {node_labels.shape}")
-    if edge_labels.shape != (NUM_SUBJECTS, NUM_SUBJECTS):
-        raise ValueError(f"edge labels have shape {edge_labels.shape}")
-    for labels in (node_labels, edge_labels):
-        if not ((labels == 0.0) | (labels == 1.0)).all():
-            raise ValueError("labels must be 0 or 1")
-    if np.diagonal(edge_labels).any():
+class Target(NamedTuple):
+    """One sample's float64 0/1 labels, checked, and the masks the loss takes
+    from them: which labels are 1 (`pair_ones` over the off-diagonal pairs,
+    in `OFF_DIAGONAL` order), the `edge_mask` and its off-diagonal pairs."""
+
+    node_labels: Array
+    edge_labels: Array
+    node_ones: Array
+    pair_ones: Array
+    mask: Array
+    pair_mask: Array
+
+
+def targets(node_labels: list, edge_labels: list) -> list[Target]:
+    """Check the labels of many samples and prepare their targets, in a few
+    array operations over all of them stacked; float64 labels are kept, not
+    copied. Raises `ValueError` for labels of the wrong shape, a label that
+    is not 0 or 1, or an edge label on the diagonal."""
+    nodes = [np.asarray(labels, dtype=np.float64) for labels in node_labels]
+    edges = [np.asarray(labels, dtype=np.float64) for labels in edge_labels]
+    for node, edge in zip(nodes, edges):
+        if node.shape != (NUM_SUBJECTS,):
+            raise ValueError(f"node labels have shape {node.shape}")
+        if edge.shape != (NUM_SUBJECTS, NUM_SUBJECTS):
+            raise ValueError(f"edge labels have shape {edge.shape}")
+    node, edge = np.array(nodes), np.array(edges)
+    node_ones, edge_ones = node == 1.0, edge == 1.0
+    if not ((node_ones | (node == 0.0)).all() and (edge_ones | (edge == 0.0)).all()):
+        raise ValueError("labels must be 0 or 1")
+    if edge[:, ALL_ROWS, ALL_ROWS].any():
         raise ValueError("edge labels must have a zero diagonal")
-    return node_labels, edge_labels
+    mask = edge_mask(node_ones)
+    return [Target(*arrays) for arrays in zip(nodes, edges, node_ones, edge_ones[:, OFF_DIAGONAL],
+                                               mask, mask[:, OFF_DIAGONAL])]
 
 
 def edge_mask(node_labels: Array) -> Array:
-    """Boolean pair mask: off-diagonal, at least one endpoint active."""
+    """Boolean pair mask: off-diagonal, at least one endpoint active (per vector of a stack)."""
     active = np.asarray(node_labels) != 0
-    mask = active[:, None] | active[None, :]
-    np.fill_diagonal(mask, False)
+    mask = active[..., :, None] | active[..., None, :]
+    mask[..., ALL_ROWS, ALL_ROWS] = False
     return mask
 
 
@@ -83,10 +108,9 @@ def masked_bce_loss(
     config: LossConfig = LossConfig(),
 ) -> float:
     """Evaluate the objective on already-computed probabilities."""
-    node_labels, edge_labels = _check_labels(node_labels, edge_labels)
     return _masked_bce(np.asarray(output.node_probs, dtype=np.float64),
                        np.asarray(output.edge_probs, dtype=np.float64),
-                       node_labels, edge_labels, edge_mask(node_labels), config)
+                       targets([node_labels], [edge_labels])[0], config)
 
 
 def _clamped(probs: Array) -> Array:
@@ -94,21 +118,13 @@ def _clamped(probs: Array) -> Array:
     return np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS)
 
 
-def _masked_bce(
-    node_probs: Array, edge_probs: Array, node_labels: Array, edge_labels: Array,
-    mask: Array, config: LossConfig,
-) -> float:
-    """`masked_bce_loss` on float64 probabilities, checked labels and their
-    `edge_mask`."""
+def _masked_bce(node_probs: Array, edge_probs: Array, target: Target, config: LossConfig) -> float:
+    """`masked_bce_loss` on float64 probabilities and a prepared target."""
     node_p = _clamped(node_probs)
     pair_p = _clamped(edge_probs[OFF_DIAGONAL])
-    pair_y = edge_labels[OFF_DIAGONAL]
-    pair_mask = mask[OFF_DIAGONAL]
-
-    node_sum = np.add.reduce(node_labels * np.log(node_p)
-                             + (1.0 - node_labels) * np.log(1.0 - node_p))
-    edge_sum = np.add.reduce((pair_y * np.log(pair_p) + (1.0 - pair_y) * np.log(1.0 - pair_p))
-                             * pair_mask)
+    node_sum = np.add.reduce(np.log(np.where(target.node_ones, node_p, 1.0 - node_p)))
+    edge_sum = np.add.reduce(np.log(np.where(target.pair_ones, pair_p, 1.0 - pair_p))
+                             * target.pair_mask)
     loss = (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
@@ -125,21 +141,23 @@ def logit_gradients(
     node_labels: Array,
     edge_labels: Array,
     config: LossConfig = LossConfig(),
+    target: Target | None = None,
 ) -> tuple[float, Array, Array]:
     """Objective value and its gradient at the node and edge logits.
 
     The BCE gradient at a logit is (p - y), times `lambda_edge` for an edge,
     and zero where the clamp is active. The edge gradient is a 15 x 15 grid,
-    exactly zero on masked pairs and on the diagonal.
+    exactly zero on masked pairs and on the diagonal. A `target` made ahead
+    by `targets()`, as `train()` does, stands in for the labels.
     """
-    node_labels, edge_labels = _check_labels(node_labels, edge_labels)
+    if target is None:
+        target = targets([node_labels], [edge_labels])[0]
     # The probabilities of `route()`'s output, read off the tape.
     node_probs = _sigmoid(tape.node_logits)
     edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)[1]
-    mask = edge_mask(node_labels)
-    value = _masked_bce(node_probs, edge_probs, node_labels, edge_labels, mask, config)
-    d_node = _clamped_residual(node_probs, node_labels)
-    d_edge = config.lambda_edge * mask * _clamped_residual(edge_probs, edge_labels)
+    value = _masked_bce(node_probs, edge_probs, target, config)
+    d_node = _clamped_residual(node_probs, target.node_labels)
+    d_edge = config.lambda_edge * target.mask * _clamped_residual(edge_probs, target.edge_labels)
     return value, d_node, d_edge
 
 
@@ -150,14 +168,17 @@ def loss_and_gradients(
     edge_labels: Array,
     config: LossConfig = LossConfig(),
     out: dict[str, Array] | None = None,
+    rows: Array | None = None,
+    target: Target | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """Forward pass, objective, and hand-derived parameter gradients.
 
-    Gradients are written into `out` when given (see `backward`).
+    Gradients are written into `out` when given, with `rows` as in `backward`;
+    a `target` stands in for the labels, as in `logit_gradients`.
     """
     tape = ForwardTape(params, h_q)
-    value, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels, config)
-    return value, backward(tape, d_node, d_edge, out)
+    value, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels, config, target)
+    return value, backward(tape, d_node, d_edge, out, rows)
 
 
 def loss_for_dag_output(
@@ -175,6 +196,8 @@ def loss_for_dag_output(
 __all__ = [
     "PROB_EPS",
     "LossConfig",
+    "Target",
+    "targets",
     "edge_mask",
     "masked_bce_loss",
     "logit_gradients",

@@ -285,21 +285,22 @@ class ForwardTape:
         )
 
 
-def _question_block_grad(h_q: Array, d: Array, out: Array) -> None:
+def _question_block_grad(h_q: Array, d: Array, out: Array, rows: Array | None = None) -> None:
     """Write the gradient of a question block, `np.multiply.outer(h_q, d)`,
-    into the (d_q, n) rows `out`, given the block's output gradient `d`.
+    into the (d_q, n) rows `out` (only rows `rows` and those `h_q` hits, when
+    given), given the block's output gradient `d`.
 
     A question hits few of the d_q buckets, so most rows are the product of
     +0.0 with `d`. That row, `np.multiply(0.0, d)`, is computed once and
-    broadcast into every row, signed zeros and NaNs of `0 * inf` included;
+    broadcast into each row, signed zeros and NaNs of `0 * inf` included;
     only the rows whose entry of `h_q` is not +0.0 (its bits nonzero, so -0.0
     counts) are multiplied out. Each entry is the product of the same two
     operands as in the dense outer product, so it has the same bits; only
     where both are NaN may the NaN's payload differ, which IEEE 754 leaves open.
     """
-    out[...] = np.multiply(0.0, d)
-    rows = np.flatnonzero(h_q.view(np.uint64))
-    out[rows] = np.multiply.outer(h_q[rows], d)
+    out[... if rows is None else rows] = np.multiply(0.0, d)
+    hit = np.flatnonzero(h_q.view(np.uint64))
+    out[hit] = np.multiply.outer(h_q[hit], d)
 
 
 def backward(
@@ -307,20 +308,22 @@ def backward(
     d_node_logits: Array,
     d_edge_logits: Array,
     out: dict[str, Array] | None = None,
+    rows: Array | None = None,
 ) -> dict[str, Array]:
     """Gradient of every parameter, given the loss gradient at the logits.
 
     `d_node_logits` has shape (15,); `d_edge_logits` is the 15 x 15 grid of
     `ForwardTape.edge_logits` and must have a zero diagonal. Each gradient is
     written into `out[name]`, a C-contiguous float64 array of the tensor's
-    shape, which is overwritten in full and returned; `train()` passes views
-    of Adam's flat gradient buffer. Without `out`, fresh arrays are returned.
-    Gradients are returned in tensor order.
+    shape, which is overwritten in full (but see `rows`) and returned;
+    `train()` passes views of Adam's flat gradient buffer. Without `out`,
+    fresh arrays are returned. Gradients are returned in tensor order.
 
     Sums are `np.add.reduce` calls, the ufunc that `np.sum` and `.sum()`
     dispatch to, on the same operands. The question blocks of `init.w` and
     `edge_head.w1` (`question_blocks`) are written by `_question_block_grad`
-    from the nonzero rows of `h_q`.
+    from the nonzero rows of `h_q`; given `rows`, only those rows of each
+    block are written, and `train()` passes the ones its optimizer reads.
     """
     t, dims = tape.params.tensors, tape.params.dims
     h, d_s = dims.h, dims.d_s
@@ -347,7 +350,7 @@ def backward(
     np.add.reduce(d_edge_logits.reshape(-1), keepdims=True, out=g["edge_head.b2"])
     np.matmul(x.T, d_src, out=g_w1[:h])
     np.matmul(x.T, d_dst, out=g_w1[h : 2 * h])
-    _question_block_grad(tape.h_q, d_question, g_w1[2 * h :])
+    _question_block_grad(tape.h_q, d_question, g_w1[2 * h :], rows)
     dx += d_src @ w1[:h].T + d_dst @ w1[h : 2 * h].T
 
     for layer in reversed(range(dims.L)):
@@ -365,7 +368,7 @@ def backward(
     w, g_w = t["init.w"], g["init.w"]
     np.matmul(d_pre, w[:d_s].T, out=g["subject_embeddings"])
     np.matmul(t["subject_embeddings"].T, d_pre, out=g_w[:d_s])
-    _question_block_grad(tape.h_q, d_bias, g_w[d_s:])
+    _question_block_grad(tape.h_q, d_bias, g_w[d_s:], rows)
     return {name: g[name] for name in t}
 
 

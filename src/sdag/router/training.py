@@ -7,15 +7,17 @@ parameters.
 `train()` lays out its working copy of the parameters in one flat float64
 buffer, and each of the copy's tensors is a view into it. Only that copy,
 which `train()` returns, views the buffer; the caller's parameters are never
-touched. `backward` writes each step's gradients straight into views of a
-gradient buffer with the same layout. Adam then updates them in place, with a
-fixed handful of element-wise ufuncs per step. It may skip rows that cannot
-move: the rows of the question blocks of `init.w` and `edge_head.w1` whose
-bucket no sample's question embedding hits. Those rows get a zero gradient at
-every step, so Adam would leave them as they are. Skipping costs copies, so
-Adam skips only long runs of such rows, and none when the copies would cost
-more than they save; `_Adam` says how the layout is built and why the result
-is bit for bit that of updating every parameter.
+touched. Each sample's labels are checked and their masks made once per call
+(`loss.targets`). `backward` writes each step's gradients straight into views
+of a gradient buffer with the same layout, and Adam updates them in place,
+with a fixed handful of element-wise ufuncs per step. It may skip rows that
+cannot move: the rows of the question blocks of `init.w` and `edge_head.w1`
+whose bucket no sample's question embedding hits. Those rows get a zero
+gradient at every step, so Adam would leave them as they are. Skipping costs
+copies, so Adam skips only long runs of such rows, and none when the copies
+would cost more than they save; `_Adam` says how the layout is built and why
+the result is bit for bit that of updating every parameter. `backward` leaves
+the skipped rows' gradients unwritten (`_Adam.rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from ..errors import EmptySplit
 from ..subjects import NUM_SUBJECTS, SDag
-from .loss import LossConfig, loss_and_gradients
+from .loss import LossConfig, loss_and_gradients, targets
 from .model import RouterDims, RouterParams, init_params, question_blocks
 
 Array = np.ndarray
@@ -189,6 +191,11 @@ class _Adam:
             self._scatter.append((flat[at], flat[to]))
             slot = to.stop
 
+        # The question rows that Adam reads in either block: those it does not skip.
+        read = [live[offsets[name] : offsets[name] + tensors[name].size]
+                .reshape(tensors[name].shape)[first:] for name, first in blocks.items()]
+        self.rows = None if live.all() else np.flatnonzero(np.logical_or.reduce(read).any(axis=1))
+
         region = slots + prefix
         self.p, self.g = flat[:region], grad[:region]
         self.lr = lr
@@ -227,6 +234,7 @@ def train(
     """Train a copy of `params` on `samples`; the input is left untouched."""
     if not samples:
         raise EmptySplit("no training samples")
+    prepared = targets([s.node_labels for s in samples], [s.edge_labels for s in samples])
     optimizer = _Adam(params, _live_buckets(params.dims.d_q, samples), config.lr)
     params = replace(params, tensors=optimizer.tensors)
     rng = np.random.default_rng(config.seed)
@@ -238,7 +246,7 @@ def train(
             sample = samples[idx]
             value, _ = loss_and_gradients(
                 params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss,
-                out=optimizer.grads,
+                out=optimizer.grads, rows=optimizer.rows, target=prepared[idx],
             )
             optimizer.step()
             epoch_losses.append(value)

@@ -15,6 +15,8 @@ from .errors import EmptyAfterThreshold, UnknownSubject
 
 WEIGHT_SUM_TOL = 1e-6
 MAX_DAG_NODES = 5
+# Annotated weights below this are dropped from a ground-truth DAG.
+WEIGHT_THRESHOLD = 0.1
 
 
 class Subject(enum.Enum):
@@ -214,7 +216,7 @@ def validate_dag(g: SDag) -> ValidationReport:
     return report
 
 
-def build_ground_truth_dag(weights: SubjectWeights, threshold: float = 0.1) -> SDag:
+def build_ground_truth_dag(weights: SubjectWeights, threshold: float = WEIGHT_THRESHOLD) -> SDag:
     """Turn an annotated weight distribution into a supports-to-dominant DAG.
 
     Entries below the threshold (and the catch-all Other subject, which no

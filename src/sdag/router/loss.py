@@ -173,8 +173,7 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, Array]]:
     """Forward pass, objective, and hand-derived parameter gradients.
 
-    Gradients are written into `out` when given, with `rows` as in `backward`;
-    a `target` stands in for the labels, as in `logit_gradients`.
+    `out` and `rows` are as in `backward`, `target` as in `logit_gradients`.
     """
     tape = ForwardTape(params, h_q)
     value, d_node, d_edge = logit_gradients(tape, node_labels, edge_labels, config, target)

@@ -1,23 +1,23 @@
 """Training loop for the routing network.
 
 Plain stochastic training: one Adam update per sample, a seeded shuffle per
-epoch. Runs are bit-reproducible for a fixed seed, sample list, and starting
-parameters.
+epoch, the labels checked and their masks made once per call
+(`loss.targets`). Runs are bit-reproducible for a fixed seed, sample list,
+and starting parameters.
 
 `train()` lays out its working copy of the parameters in one flat float64
 buffer, and each of the copy's tensors is a view into it. Only that copy,
 which `train()` returns, views the buffer; the caller's parameters are never
-touched. Each sample's labels are checked and their masks made once per call
-(`loss.targets`). `backward` writes each step's gradients straight into views
-of a gradient buffer with the same layout, and Adam updates them in place,
-with a fixed handful of element-wise ufuncs per step. It may skip rows that
-cannot move: the rows of the question blocks of `init.w` and `edge_head.w1`
-whose bucket no sample's question embedding hits. Those rows get a zero
-gradient at every step, so Adam would leave them as they are. Skipping costs
-copies, so Adam skips only long runs of such rows, and none when the copies
-would cost more than they save; `_Adam` says how the layout is built and why
-the result is bit for bit that of updating every parameter. `backward` leaves
-the skipped rows' gradients unwritten (`_Adam.rows`).
+touched. `backward` writes each step's gradients straight into views of a
+gradient buffer with the same layout. Adam then updates them in place, with a
+fixed handful of element-wise ufuncs per step. It may skip rows that cannot
+move: the rows of the question blocks of `init.w` and `edge_head.w1` whose
+bucket no sample's question embedding hits. Those rows get a zero gradient at
+every step, so Adam would leave them as they are, and `backward` does not
+write their gradients. Skipping costs copies, so Adam skips only long runs of
+such rows, and none when the copies would cost more than they save; `_Adam`
+says how the layout is built and why the result is bit for bit that of
+updating every parameter.
 """
 
 from __future__ import annotations
@@ -145,11 +145,12 @@ class _Adam:
     nothing is copied.
 
     `grads` holds views of a gradient buffer with the same layout; the caller
-    writes a step's gradients into them before `step()`. The moments and one
-    scratch buffer cover the region only, so a step allocates nothing. Each
-    operation is element-wise and keeps the operands and order of the
-    per-tensor update `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so updated
-    elements get the bits of updating each tensor on its own.
+    writes a step's gradients into them, of the question blocks only rows
+    `rows`, before `step()`. The moments and one scratch buffer cover the
+    region only, so a step allocates nothing. Each operation is element-wise
+    and keeps the operands and order of the per-tensor update
+    `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so updated elements get the
+    bits of updating each tensor on its own.
     """
 
     def __init__(self, params: RouterParams, live_buckets: Array, lr: float):

@@ -7,8 +7,10 @@ references below are the earlier formulas, copied: `np.clip` and `.sum()` on
 the probabilities of the tape's logits, and dense `np.multiply.outer`
 products. The node term's weight, once `LossConfig.lambda_node`, stays the
 `1.0 *` that every caller used, so dropping the multiply is checked too.
-Every value and gradient must keep its bytes, signed zeros and NaNs
-included.
+The loss takes one log per element (`log(p)` where y = 1, else
+`log(1 - p)`), checked against the two-log reference; targets prepared for
+many samples at once are checked against the label-taking call. Every value
+and gradient must keep its bytes, signed zeros and NaNs included.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from sdag.router.loss import (
     LossConfig,
     edge_mask,
     logit_gradients,
+    loss_and_gradients,
     masked_bce_loss,
+    targets,
 )
 from sdag.router.model import (
     PAIR_DST,
@@ -290,6 +294,62 @@ def test_logit_gradients_match_the_output_formula(seed, node_logits, edge_logits
     assert d_node.tobytes() == expected[1].tobytes()
     assert d_edge.tobytes() == expected[2].tobytes()
     assert tape.edge_logits.tobytes() == before.tobytes()  # the tape keeps its own logits
+
+
+# A label vector or grid all 0, all 1, or mixed.
+NODE_ROW = st.one_of(st.just([False] * NUM_SUBJECTS), st.just([True] * NUM_SUBJECTS),
+                     st.lists(st.booleans(), min_size=NUM_SUBJECTS, max_size=NUM_SUBJECTS))
+EDGE_ROWS = st.one_of(st.just([False] * NUM_SUBJECTS**2), st.just([True] * NUM_SUBJECTS**2),
+                      st.lists(st.booleans(), min_size=NUM_SUBJECTS**2, max_size=NUM_SUBJECTS**2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       samples=st.lists(st.tuples(
+           st.lists(LOGIT, min_size=NUM_SUBJECTS, max_size=NUM_SUBJECTS),
+           st.lists(LOGIT, min_size=NUM_SUBJECTS**2, max_size=NUM_SUBJECTS**2),
+           NODE_ROW, EDGE_ROWS), min_size=1, max_size=4),
+       lambda_edge=LABELS["lambda_edge"])
+def test_prepared_targets_give_the_bits_of_the_per_call_path(seed, samples, lambda_edge):
+    """Targets prepared for several samples at once, as `train()` makes them,
+    give each sample's loss and gradients the bits of the label-taking call:
+    logits whose probabilities sit at and past both clamp bounds, label rows
+    all 0, all 1 or mixed, and the signed zeros of masked pairs included."""
+    dims = RouterDims(d_s=3, d_q=6, h=4, L=1)
+    params = init_params(dims, seed=seed)
+    h_q = np.random.default_rng(seed).standard_normal(dims.d_q)
+    labels = [_labels(nodes, edges) for _, _, nodes, edges in samples]
+    prepared = targets([node for node, _ in labels], [edge for _, edge in labels])
+    config = LossConfig(lambda_edge=lambda_edge)
+    for (node_logits, edge_logits, _, _), (node_labels, edge_labels), target in zip(
+            samples, labels, prepared):
+        assert target.node_labels is node_labels and target.edge_labels is edge_labels
+        tape = ForwardTape(params, h_q)
+        tape.node_logits = np.array(node_logits)
+        tape.edge_logits = np.array(edge_logits).reshape(NUM_SUBJECTS, NUM_SUBJECTS)
+        got = logit_gradients(tape, None, None, config, target)
+        want = logit_gradients(tape, node_labels, edge_labels, config)
+        for g, w in zip(got, want):
+            assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+        value, grads = loss_and_gradients(params, h_q, None, None, config, target=target)
+        want_value, want_grads = loss_and_gradients(params, h_q, node_labels, edge_labels, config)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert all(grads[name].tobytes() == want_grads[name].tobytes() for name in want_grads)
+
+
+def test_masked_pairs_labelled_1_get_negative_zero_gradients():
+    # With no subject active every pair is masked, so a pair labelled 1 gets
+    # lambda_edge * 0 * (p - 1): -0.0, which the prepared target keeps too.
+    node_labels, edge_labels = _labels([False] * NUM_SUBJECTS, [True] * NUM_SUBJECTS**2)
+    tape = ForwardTape(init_params(RouterDims(d_s=3, d_q=6, h=4, L=1)), np.ones(6))
+    config = LossConfig(lambda_edge=2.0)
+    target = targets([node_labels], [edge_labels])[0]
+    d_edge = logit_gradients(tape, None, None, config, target)[2]
+    off_diagonal = ~np.eye(NUM_SUBJECTS, dtype=bool)
+    assert not d_edge.any()
+    assert np.signbit(d_edge[off_diagonal]).all() and not np.signbit(d_edge.diagonal()).any()
+    assert d_edge.tobytes() == logit_gradients(tape, node_labels, edge_labels, config)[2].tobytes()
 
 
 def test_nan_probability_raises_the_same_nonfinite_loss():

@@ -1,6 +1,7 @@
 """Training loop: determinism, loss descent, and config guards."""
 
 import contextlib
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from sdag.embedding import HashedEmbedder
 from sdag.errors import DimensionMismatch, EmptySplit
 from sdag.router.checkpoint import save_checkpoint
-from sdag.router.loss import LossConfig, loss_and_gradients
+from sdag.router.loss import LossConfig, logit_gradients, loss_and_gradients
 from sdag.router import training
-from sdag.router.model import RouterDims, init_params, question_blocks, tensor_shapes
+from sdag.router.model import (
+    ForwardTape, RouterDims, backward, init_params, question_blocks, tensor_shapes,
+)
 from sdag.router.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, TrainSample, train, train_router,
 )
@@ -290,6 +293,58 @@ def test_checkpoint_bytes_equal_the_dense_optimizers(tmp_path):
     assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(training_runs())
+def test_backward_writes_every_question_row_adam_reads(run):
+    """Into an `out` of NaNs, `backward(rows=_Adam.rows)` writes every tensor
+    but the question rows that Adam skips, with the bits of the dense gradient."""
+    params, samples, config, _ = run
+    with skip_costs(True):
+        optimizer = training._Adam(params, training._live_buckets(params.dims.d_q, samples),
+                                   config.lr)
+    blocks = question_blocks(params.dims)
+    rows = np.arange(params.dims.d_q) if optimizer.rows is None else optimizer.rows
+    for sample in samples:
+        tape = ForwardTape(params, sample.h_q)
+        _, d_node, d_edge = logit_gradients(tape, sample.node_labels, sample.edge_labels)
+        dense = backward(tape, d_node, d_edge)
+        for grad in optimizer.grads.values():
+            grad[...] = np.nan
+        backward(tape, d_node, d_edge, out=optimizer.grads, rows=optimizer.rows)
+        for name, grad in optimizer.grads.items():
+            if name not in blocks:
+                assert grad.tobytes() == dense[name].tobytes(), name
+                continue
+            first = blocks[name]
+            assert grad[:first].tobytes() == dense[name][:first].tobytes(), name
+            assert grad[first:][rows].tobytes() == dense[name][first:][rows].tobytes(), name
+            assert not np.isnan(grad[first:][rows]).any(), name
+
+
+def _label_cases():
+    node, edge = tiny_samples()[0].node_labels, tiny_samples()[0].edge_labels
+    diagonal = edge.copy()
+    diagonal[2, 2] = 1.0
+    return [
+        ("node_labels", np.where(node == 1.0, 0.5, 0.0), "labels must be 0 or 1"),
+        ("edge_labels", edge * 2.0, "labels must be 0 or 1"),
+        ("edge_labels", diagonal, "edge labels must have a zero diagonal"),
+        ("node_labels", np.zeros(NUM_SUBJECTS - 1), "node labels have shape (14,)"),
+        ("edge_labels", np.zeros((NUM_SUBJECTS, NUM_SUBJECTS - 1)),
+         "edge labels have shape (15, 14)"),
+    ]
+
+
+@pytest.mark.parametrize("field, labels, message", _label_cases())
+def test_train_checks_every_label_before_its_first_step(field, labels, message):
+    samples = tiny_samples()
+    samples[-1] = replace(samples[-1], **{field: labels})
+    with mock.patch.object(training, "loss_and_gradients",
+                           side_effect=AssertionError("a step ran")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(init_params(DIMS), samples, TrainConfig(epochs=1))
+
+
 def test_train_rejects_a_question_embedding_of_the_wrong_shape():
     samples = tiny_samples()
     samples.append(TrainSample(np.ones(DIMS.d_q + 1), samples[0].node_labels,
@@ -316,6 +371,17 @@ def test_adam_skips_the_frozen_runs_that_pay_for_their_copies():
     assert not training._skipped(np.zeros(100, dtype=bool)).any()
 
 
+def _reads(params, live, name, row) -> bool:
+    """Whether a NaN gradient in question row `row` of block `name` reaches
+    the parameters through one Adam step."""
+    optimizer = training._Adam(params, live, 1e-3)
+    for grad in optimizer.grads.values():
+        grad[...] = 0.0
+    optimizer.grads[name][question_blocks(params.dims)[name] + row] = np.nan
+    optimizer.step()
+    return any(np.isnan(arr).any() for arr in optimizer.tensors.values())
+
+
 @pytest.mark.parametrize("hit, skips", [(np.arange(0, 256, 2), False), (np.arange(14), True)])
 def test_adam_skips_question_rows_only_where_they_pay(hit, skips):
     # At the benchmark dims: single dead buckets between hit ones are updated
@@ -327,3 +393,9 @@ def test_adam_skips_question_rows_only_where_they_pay(hit, skips):
     size = sum(arr.size for arr in params.tensors.values())
     assert (optimizer.p.size < size) == skips
     assert bool(optimizer._gather) == skips
+    # The rows it exposes are exactly the question rows it reads, in both blocks.
+    assert (optimizer.rows is not None) == skips
+    rows = list(range(256)) if optimizer.rows is None else optimizer.rows.tolist()
+    assert set(hit.tolist()) <= set(rows)
+    for name in question_blocks(params.dims):
+        assert [row for row in range(256) if _reads(params, live, name, row)] == rows, name

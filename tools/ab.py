@@ -39,10 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from bench_pairs import SIDES, _quartiles, summarize  # noqa: E402
+from bench_pairs import SIDES, _quartiles, summarize
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SIZE, CHUNK, CORPUS_SEED = 500, 25, 3
@@ -121,7 +118,8 @@ def summarize_ab(runs: list[dict]) -> dict:
     calls: dict[int, dict[str, float]] = {}
     halves: dict[int, int] = {}
     for run in runs:
-        calls.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]["call_ms"]["value"]
+        value = run["result"]["metrics"]["call_ms"]["value"]
+        calls.setdefault(run["pair"], {})[run["side"]] = value
         halves[run["pair"]] = run["half"]
     ratios = {pair: c["change"] / c["parent"] for pair, c in calls.items()}
     summary = summarize(runs, {"call_ms": "lower"})
@@ -144,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 2")
     if (args.out is None) != (args.name is None):
         parser.error("--out and --name go together")
+    # The trees import NumPy when they load, after this.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as scratch:
         src = {side: checkout(getattr(args, side), Path(scratch) / side) for side in SIDES}

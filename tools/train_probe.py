@@ -19,6 +19,13 @@ trees' results can be compared bit for bit. Its metrics:
   question's embedding, the rows of a question block's gradient that are
   multiplied out.
 
+The stages run the public per-call path: `logit_gradients` from the labels,
+and `backward` into every question row. `train()` prepares each sample's
+labels once and writes only the question rows Adam reads, which trees before
+those changes cannot do, and the child must run on both trees of a pair. So
+`logit_gradients_us` and `backward_us` read more than a step of `train()`
+spends there; `step_us` times `train()` itself.
+
 Corpora:
 
 - `synthetic`: the set-up corpus as generated; its questions hash to the 14

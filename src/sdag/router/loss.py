@@ -60,14 +60,13 @@ class LossConfig:
 class Target(NamedTuple):
     """One sample's float64 0/1 labels, checked, and the masks the loss takes
     from them: which labels are 1 (`pair_ones` over the off-diagonal pairs,
-    in `OFF_DIAGONAL` order), the `edge_mask` and its off-diagonal pairs."""
+    in `OFF_DIAGONAL` order) and the `edge_mask`."""
 
     node_labels: Array
     edge_labels: Array
     node_ones: Array
     pair_ones: Array
     mask: Array
-    pair_mask: Array
 
 
 def targets(node_labels: list, edge_labels: list) -> list[Target]:
@@ -88,9 +87,8 @@ def targets(node_labels: list, edge_labels: list) -> list[Target]:
         raise ValueError("labels must be 0 or 1")
     if edge[:, ALL_ROWS, ALL_ROWS].any():
         raise ValueError("edge labels must have a zero diagonal")
-    mask = edge_mask(node_ones)
     return [Target(*arrays) for arrays in zip(nodes, edges, node_ones, edge_ones[:, OFF_DIAGONAL],
-                                               mask, mask[:, OFF_DIAGONAL])]
+                                               edge_mask(node_ones))]
 
 
 def edge_mask(node_labels: Array) -> Array:
@@ -124,7 +122,7 @@ def _masked_bce(node_probs: Array, edge_probs: Array, target: Target, config: Lo
     pair_p = _clamped(edge_probs[OFF_DIAGONAL])
     node_sum = np.add.reduce(np.log(np.where(target.node_ones, node_p, 1.0 - node_p)))
     edge_sum = np.add.reduce(np.log(np.where(target.pair_ones, pair_p, 1.0 - pair_p))
-                             * target.pair_mask)
+                             * target.mask[OFF_DIAGONAL])
     loss = (-1.0 * node_sum) + config.lambda_edge * (-1.0 * edge_sum)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
@@ -148,10 +146,12 @@ def logit_gradients(
     The BCE gradient at a logit is (p - y), times `lambda_edge` for an edge,
     and zero where the clamp is active. The edge gradient is a 15 x 15 grid,
     exactly zero on masked pairs and on the diagonal. A `target` made ahead
-    by `targets()`, as `train()` does, stands in for the labels.
+    by `targets()`, as `train()` does, replaces the labels, which are then None.
     """
     if target is None:
         target = targets([node_labels], [edge_labels])[0]
+    elif node_labels is not None or edge_labels is not None:
+        raise TypeError("give the labels or a target, not both")
     # The probabilities of `route()`'s output, read off the tape.
     node_probs = _sigmoid(tape.node_logits)
     edge_probs = _edge_output(tape.edge_logits.copy(), ALL_ROWS)[1]

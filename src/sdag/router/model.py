@@ -340,7 +340,10 @@ def backward(
 
     # Each block of the edge head's w1 collects its gradient summed over the
     # axis of the grid it was broadcast along.
-    d_pre = np.multiply(d_edge_logits[:, :, None], t["edge_head.w2"][:, 0])
+    # Copied, then scaled: a product of two broadcast operands takes two NumPy buffers.
+    d_pre = np.empty(d_edge_logits.shape + (h,))
+    d_pre[...] = d_edge_logits[:, :, None]
+    d_pre *= t["edge_head.w2"][:, 0]
     d_pre *= tape.edge_hidden > 0.0
     d_src, d_dst = np.add.reduce(d_pre, axis=1), np.add.reduce(d_pre, axis=0)
     d_question = np.add.reduce(d_src, axis=0, out=g["edge_head.b1"])

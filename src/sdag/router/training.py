@@ -144,9 +144,9 @@ class _Adam:
     tensors. When nothing is skipped, the region is the whole layout and
     nothing is copied.
 
-    `grads` holds views of a gradient buffer with the same layout; the caller
-    writes a step's gradients into them, of the question blocks only rows
-    `rows`, before `step()`. The moments and one scratch buffer cover the
+    `grads` holds views of a zeroed gradient buffer with the same layout; the
+    caller writes a step's gradients into them, of the question blocks only
+    rows `rows`, before `step()`. The moments and one scratch buffer cover the
     region only, so a step allocates nothing. Each operation is element-wise
     and keeps the operands and order of the per-tensor update
     `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so updated elements get the
@@ -174,7 +174,7 @@ class _Adam:
         slots = sum(stop - start for start, stop in runs)
 
         flat = np.empty(slots + len(live))
-        grad = np.empty_like(flat)
+        grad = np.zeros_like(flat)
         self.tensors, self.grads = {}, {}
         for name, arr in tensors.items():
             at = slice(slots + offsets[name], slots + offsets[name] + arr.size)
@@ -244,11 +244,8 @@ def train(
     for epoch in range(config.epochs):
         epoch_losses = []
         for idx in rng.permutation(len(samples)):
-            sample = samples[idx]
-            value, _ = loss_and_gradients(
-                params, sample.h_q, sample.node_labels, sample.edge_labels, config.loss,
-                out=optimizer.grads, rows=optimizer.rows, target=prepared[idx],
-            )
+            value, _ = loss_and_gradients(params, samples[idx].h_q, None, None, config.loss,
+                                          optimizer.grads, optimizer.rows, target=prepared[idx])
             optimizer.step()
             epoch_losses.append(value)
         mean_loss = float(np.mean(epoch_losses))

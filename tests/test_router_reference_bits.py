@@ -352,6 +352,15 @@ def test_masked_pairs_labelled_1_get_negative_zero_gradients():
     assert d_edge.tobytes() == logit_gradients(tape, node_labels, edge_labels, config)[2].tobytes()
 
 
+def test_a_target_is_not_taken_with_labels():
+    node_labels, edge_labels = _labels([True] + [False] * 14, [False] * NUM_SUBJECTS**2)
+    target = targets([node_labels], [edge_labels])[0]
+    params = init_params(RouterDims(d_s=3, d_q=6, h=4, L=1))
+    for labels in ((node_labels, edge_labels), (node_labels, None), (None, edge_labels)):
+        with pytest.raises(TypeError, match="^give the labels or a target, not both$"):
+            loss_and_gradients(params, np.ones(6), *labels, target=target)
+
+
 def test_nan_probability_raises_the_same_nonfinite_loss():
     node_labels, edge_labels = _labels([True] + [False] * 14, [False] * NUM_SUBJECTS**2)
     node_probs = np.full(NUM_SUBJECTS, 0.5)

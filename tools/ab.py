@@ -1,19 +1,18 @@
 """Time `train_router` of two source trees in one process and record it.
 
-    python3 tools/ab.py --parent REV --change REV [--pairs N] \
-        [--out BENCH_x.json --name KEY]
+    python3 tools/ab.py --parent REV --change REV [--out BENCH_x.json --name KEY]
 
-Each REV is a git revision, `git archive`d into a temporary directory, or a
-directory that holds `src/sdag`. A tree's `src/sdag` is imported as a package
-of its own name (every import inside `src/sdag` is relative), so both trees
-run in one process, pinned to one CPU with BLAS on one thread.
+Each REV is a git revision, `git archive`d into a temporary directory. A
+tree's `src/sdag` is imported as a package of its own name (every import
+inside `src/sdag` is relative), so both trees run in one process, pinned to
+one CPU with BLAS on one thread.
 
 The workload is the benchmark's `train` workload: `train_router` at the
 acceptance dims (32, 256, 64, 2), lr 1e-3, edge weight 2 and 2 epochs, on
 25-sample chunks of a 500-question synthetic corpus. Before timing, each
 tree trains every chunk; the two trees' parameter bits and loss curves must
-be equal, or the tool exits 1 without timing. Then pair i trains chunk
-i mod 20 once on each side, the parent first in odd pairs, and records
+be equal, or the tool exits 1 without timing. Then pair i of `PAIRS` trains
+chunk i mod 20 once on each side, the parent first in odd pairs, and records
 each call's wall time. A tree loaded second runs about 1 % faster, so each
 tree is loaded twice: the first half of the pairs runs the copies loaded
 parent first, the second half the copies loaded change first.
@@ -39,19 +38,18 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import SIDES, _quartiles, summarize
+from bench_pairs import SIDES, _quartiles, run_order, summarize
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SIZE, CHUNK, CORPUS_SEED = 500, 25, 3
 EPOCHS, LR, LAMBDA_EDGE, TRAIN_SEED = 2, 1e-3, 2.0, 1
 DIMS = dict(d_s=32, d_q=256, h=64, L=2)
+# Timed pairs, half of them on the copies loaded parent first.
+PAIRS = 80
 
 
 def checkout(rev: str, into: Path) -> Path:
-    """The `src/sdag` of `rev`: a directory as given, else the revision
-    `git archive`d under `into`."""
-    if (Path(rev) / "src" / "sdag").is_dir():
-        return Path(rev).resolve() / "src" / "sdag"
+    """The `src/sdag` of revision `rev`, `git archive`d under `into`."""
     tree = into / rev.replace("/", "_")
     tree.mkdir(parents=True, exist_ok=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/sdag"],
@@ -101,15 +99,13 @@ def same_bits(trainers: dict) -> bool:
 
 def time_pairs(trainers: dict, first: int, pairs: int, half: int) -> list[dict]:
     runs = []
-    for pair in range(first, first + pairs):
-        order = SIDES if pair % 2 else SIDES[::-1]
-        for position, side in enumerate(order):
-            start = time.perf_counter()
-            result = trainers[side](pair)
-            took = (time.perf_counter() - start) * 1e3
-            runs.append({"pair": pair, "side": side, "ran_first": position == 0, "half": half,
-                         "result": {"correct": True, "failed": 0, "steps": result.steps,
-                                    "metrics": {"call_ms": {"value": took}}}})
+    for pair, side, ran_first in run_order(first, pairs):
+        start = time.perf_counter()
+        result = trainers[side](pair)
+        took = (time.perf_counter() - start) * 1e3
+        runs.append({"pair": pair, "side": side, "ran_first": ran_first, "half": half,
+                     "result": {"correct": True, "failed": 0, "steps": result.steps,
+                                "metrics": {"call_ms": {"value": took}}}})
     return runs
 
 
@@ -132,14 +128,11 @@ def summarize_ab(runs: list[dict]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="parent revision or tree")
-    parser.add_argument("--change", required=True, help="changed revision or tree")
-    parser.add_argument("--pairs", type=int, default=80, help="timed pairs, split in two halves")
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--change", required=True, help="changed revision")
     parser.add_argument("--out", type=Path, help="BENCH_*.json to store the runs in")
     parser.add_argument("--name", help="key of this A/B in the output file")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2")
     if (args.out is None) != (args.name is None):
         parser.error("--out and --name go together")
     # The trees import NumPy when they load, after this.
@@ -155,9 +148,8 @@ def main(argv: list[str] | None = None) -> int:
                       for half, trainers in enumerate(loaded) for side in SIDES}):
         print("the trees train different bits; not timed", file=sys.stderr)
         return 1
-    first_half = args.pairs // 2
-    runs = (time_pairs(loaded[0], 1, first_half, 0)
-            + time_pairs(loaded[1], first_half + 1, args.pairs - first_half, 1))
+    half = PAIRS // 2
+    runs = time_pairs(loaded[0], 1, half, 0) + time_pairs(loaded[1], half + 1, half, 1)
     summary = summarize_ab(runs)
     call = summary["metrics"]["call_ms"]
     print(f"change/parent per pair: {summary['ratio_q1_median_q3']} (q1, median, q3), "

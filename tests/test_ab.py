@@ -1,10 +1,48 @@
-"""tools/ab.py: the summary of in-process A/B calls."""
+"""tools/ab.py: its corpora, the trees it loads, its bit check and its summary."""
 
-import sys
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import ab  # noqa: E402
+import numpy as np
+import pytest
+
+import ab
+from sdag.embedding import HashedEmbedder, embed_hashed
+from sdag.synthetic import SyntheticConfig, dag_dataset, generate_synthetic_records
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("corpus", ab.CORPORA)
+def test_every_chunk_hits_its_share_of_buckets_and_keeps_its_dags(corpus):
+    data = dag_dataset(generate_synthetic_records(
+        SyntheticConfig(n_questions=ab.CORPUS_SIZE, seed=ab.CORPUS_SEED)))
+    for start in range(0, len(data), ab.CHUNK):
+        chunk = data[start : start + ab.CHUNK]
+        dealt = ab.deal(chunk, HashedEmbedder(d=256), ab.CORPORA[corpus])
+        hit = np.any([embed_hashed(question) != 0 for question, _ in dealt], axis=0).sum()
+        assert hit == 14 if corpus == "synthetic" else hit >= ab.CORPORA[corpus] * 256
+        for (question, dag), (text, dealt_dag) in zip(chunk, dealt):
+            assert dealt_dag is dag and re.fullmatch(r"( v\d+)*", text.removeprefix(question))
+
+
+@pytest.mark.parametrize("corpus", ["synthetic", "dense"])
+def test_a_tree_loaded_under_another_name_trains_the_bits_of_sdag(corpus):
+    train, stats = ab.load(ROOT / "src" / "sdag", f"ab_test_{corpus}", corpus)
+    result, reference = train(0), ab.workload("sdag", corpus)[0](0)
+    assert type(result).__module__ == f"ab_test_{corpus}.router.training"
+    assert ab.digest(result) == ab.digest(reference)
+    assert stats["buckets_hit_per_chunk"] == [14 if corpus == "synthetic" else 256] * 20
+
+
+def test_same_bits_tells_one_flipped_parameter_on_one_chunk():
+    def trainer(flipped_chunk=None):
+        return lambda i: SimpleNamespace(loss_curve=[0.5], params=SimpleNamespace(
+            tensors={"w": np.array([-0.0 if i == flipped_chunk else 0.0, 1.0])}))
+
+    assert ab.same_bits({"parent": trainer(), "change": trainer()})
+    assert not ab.same_bits({"parent": trainer(), "change": trainer(flipped_chunk=19)})
 
 
 def call(pair, side, ms, half):

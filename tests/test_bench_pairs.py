@@ -1,13 +1,11 @@
 """The parent/change pair summary of tools/bench_pairs.py, on synthetic runs."""
 
-import importlib.util
 import json
 from pathlib import Path
 
+import bench_pairs
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
 
 
 def run(pair, side, failed=0, correct=True, **values):

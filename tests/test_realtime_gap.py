@@ -1,15 +1,10 @@
 """Realtime gap split from a perfbench spans file (tools/realtime_gap.py)."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("realtime_gap", ROOT / "tools" / "realtime_gap.py")
-realtime_gap = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(realtime_gap)
+import realtime_gap
 
 
 def span(id, name, start, end, parent=None, question=None, phase="realtime.fcg"):

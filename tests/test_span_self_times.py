@@ -1,17 +1,10 @@
 """Self times per question from a perfbench spans file (tools/span_self_times.py)."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "span_self_times", ROOT / "tools" / "span_self_times.py"
-)
-span_self_times = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(span_self_times)
+import span_self_times
 
 
 def span(id, name, start, end, parent=None, question=None, phase="offline.sdag"):

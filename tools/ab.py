@@ -15,7 +15,7 @@ sets how many of the 256 question buckets a chunk hits: `synthetic` (the
 default) the 14 of the subject keywords, as generated; `dense-50`,
 `dense-75`, `dense-90` and `dense` 50, 75, 90 and 100 %, by tokens `v0, v1,
 ...` dealt round-robin over the chunk's questions. So Adam reads 19, 187 and,
-from `dense-75` on, all 256 question rows. The tokens leave DAGs and labels.
+from `dense-75` on, all 256 question rows. The tokens change no DAG or label.
 
 Before timing, each tree trains every chunk; the two trees' parameter bits
 and loss curves must be equal, or the tool exits 1 without timing. Then pair
@@ -191,8 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     runs = time_pairs(loaded[0], 1, half, 0) + time_pairs(loaded[1], half + 1, half, 1)
     summary = summarize_ab(runs)
     call = summary["metrics"]["call_ms"]
-    print(f"{args.corpus}: change/parent per pair {summary['ratio_q1_median_q3']} "
-          f"(q1, median, q3), by half {summary['ratio_median_by_half']}, change won {call['change_wins']}")
+    print(f"{args.corpus}: change/parent per pair {summary['ratio_q1_median_q3']} (q1, median, "
+          f"q3), by half {summary['ratio_median_by_half']}, change won {call['change_wins']}")
     if args.out:
         record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
         record.setdefault("ab", {})[args.name] = {

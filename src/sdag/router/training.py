@@ -10,14 +10,14 @@ buffer, and each of the copy's tensors is a view into it. Only that copy,
 which `train()` returns, views the buffer; the caller's parameters are never
 touched. `backward` writes each step's gradients straight into views of a
 gradient buffer with the same layout. Adam then updates them in place, with a
-fixed handful of element-wise ufuncs per step. It may skip rows that cannot
-move: the rows of the question blocks of `init.w` and `edge_head.w1` whose
-bucket no sample's question embedding hits. Those rows get a zero gradient at
-every step, so Adam would leave them as they are, and `backward` does not
-write their gradients. Skipping costs copies, so Adam skips only long runs of
-such rows, and none when the copies would cost more than they save; `_Adam`
-says how the layout is built and why the result is bit for bit that of
-updating every parameter.
+fixed handful of element-wise ufuncs per step. It may skip whole rows that
+cannot move: the rows of the question blocks of `init.w` and `edge_head.w1`
+whose bucket no sample's question embedding hits. Those rows get a zero
+gradient at every step, so Adam would leave them as they are, and `backward`
+does not write their gradients. Skipping costs a gather of the rows that do
+move, so Adam skips every such row, or none when too few are frozen to pay
+for the gather; `_Adam` says how the layout is built and why the result is
+bit for bit that of updating every parameter.
 """
 
 from __future__ import annotations
@@ -97,31 +97,12 @@ def _live_buckets(d_q: int, samples: list[TrainSample]) -> Array:
     return live
 
 
-# What skipping a frozen element saves and costs, in units of one element's Adam
-# update (about 6.3 ns on a 2-vCPU Xeon VM, NumPy 2.4): copying an element into
-# its slot and back costs about 0.5 ns, and the two copy calls of a run 0.3-1 us.
-# The run cost takes the top of that range, so that a doubtful skip is left out.
-COPY_COST = 0.1
-RUN_COST = 150.0
-
-
-def _skipped(frozen: Array) -> Array:
-    """Which of the `frozen` elements of the layout Adam skips.
-
-    Skipping a run of n frozen elements saves n updates but adds one run of
-    copies, at RUN_COST; and each element that Adam updates past the first
-    skipped run is copied, at COPY_COST. So Adam skips the runs with
-    n * (1 + COPY_COST) > RUN_COST if together they save more than copying
-    everything past the first of them costs, and else none.
-    """
-    runs = np.flatnonzero(np.diff(frozen, prepend=False, append=False)).reshape(-1, 2)
-    gains = (runs[:, 1] - runs[:, 0]) * (1.0 + COPY_COST) - RUN_COST
-    runs, gains = runs[gains > 0], gains[gains > 0]
-    skipped = np.zeros_like(frozen)
-    if len(runs) and gains.sum() > COPY_COST * (len(frozen) - runs[0, 0]):
-        for start, stop in runs.tolist():
-            skipped[start:stop] = True
-    return skipped
+# Skipping the frozen question rows pays when they hold more elements than
+# this share of the elements that Adam then gathers: gathering an element's
+# gradient into its slot and writing its parameter back cost about 0.15 of its
+# Adam update (about 6.1 ns on a 2-vCPU Xeon VM, NumPy 2.4). At the benchmark
+# dims, Adam skips from 36 frozen rows on.
+GATHER_COST = 0.15
 
 
 class _Adam:
@@ -130,19 +111,21 @@ class _Adam:
     The gradient of a question-block row is the outer product of `h_q` with
     the block's output gradient, so a row whose bucket no sample hits gets a
     gradient of +-0 at every step. Its moments stay +0.0 and its update is
-    +0.0, which leaves the row bit for bit as it was. Adam skips the runs of
-    such rows that `_skipped` picks and updates every other element.
+    +0.0, which leaves the row bit for bit as it was. Adam skips all such rows
+    when their elements outnumber `GATHER_COST` times the elements it gathers,
+    and else updates every element.
 
     `tensors` is the working copy of the parameters. Its tensors are views of
     one flat float64 buffer, laid out with every tensor that takes no question
     embedding first, then the ones that do (`model.question_blocks`), the one
-    with more rows ahead of its question block first. Adam updates one
-    contiguous region of that buffer: the layout up to its first skipped row,
-    and in front of it one slot for each updated element after that row. Each
-    step first copies those elements' gradients into the slots, one slice per
-    run between skipped rows, and last copies the updated slots back into the
-    tensors. When nothing is skipped, the region is the whole layout and
-    nothing is copied.
+    with more rows ahead of its question block first. When Adam skips, it
+    updates one contiguous region of that buffer: the layout up to the first
+    block's question rows, and in front of it one slot per row that it
+    updates after them. Those are the first tensor's live question rows, and
+    the later tensor's rows ahead of its block and its live question rows.
+    Each step first gathers those rows' gradients into the slots, one `take`
+    per tensor, and last writes the updated slots back into the tensors. When
+    Adam does not skip, the region is the whole layout and nothing is copied.
 
     `grads` holds views of a zeroed gradient buffer with the same layout; the
     caller writes a step's gradients into them, of the question blocks only
@@ -156,24 +139,22 @@ class _Adam:
     def __init__(self, params: RouterParams, live_buckets: Array, lr: float):
         blocks = question_blocks(params.dims)
         tensors = params.tensors
-        # The rows ahead of the second question block are copied whenever a row
-        # of the first is skipped, so the tensor with fewer of them goes last.
-        order = ([name for name in tensors if name not in blocks]
-                 + sorted(blocks, key=blocks.get, reverse=True))
-        sizes = [tensors[name].size for name in order]
-        offsets = dict(zip(order, np.cumsum([0] + sizes).tolist()))
-        frozen = np.zeros(sum(sizes), dtype=bool)
-        for name, first in blocks.items():
-            block = frozen[offsets[name] : offsets[name] + tensors[name].size]
-            block.reshape(tensors[name].shape)[first:] = ~live_buckets[:, None]
-        live = ~_skipped(frozen)
-        prefix = len(live) if live.all() else int(np.argmin(live))  # the first skipped element
-        # Runs of updated elements after the prefix, as [start, stop) pairs.
-        bounds = np.flatnonzero(np.diff(live[prefix:], prepend=False, append=False))
-        runs = (bounds + prefix).reshape(-1, 2).tolist()
-        slots = sum(stop - start for start, stop in runs)
+        # The later block tensor's rows ahead of its question block are
+        # gathered whenever Adam skips, so the one with fewer of them goes last.
+        first, later = sorted(blocks, key=blocks.get, reverse=True)
+        order = [name for name in tensors if name not in blocks] + [first, later]
+        offsets = dict(zip(order, np.cumsum([0] + [tensors[n].size for n in order]).tolist()))
+        size = offsets[later] + tensors[later].size
+        live = np.flatnonzero(live_buckets)
+        gathered = {first: blocks[first] + live,
+                    later: np.concatenate([np.arange(blocks[later]), blocks[later] + live])}
+        width = params.dims.h
+        frozen = len(blocks) * (len(live_buckets) - len(live)) * width
+        slots = sum(rows.size for rows in gathered.values()) * width
+        if frozen <= GATHER_COST * slots:
+            gathered, slots = {}, 0
 
-        flat = np.empty(slots + len(live))
+        flat = np.empty(slots + size)
         grad = np.zeros_like(flat)
         self.tensors, self.grads = {}, {}
         for name, arr in tensors.items():
@@ -181,23 +162,19 @@ class _Adam:
             self.tensors[name] = flat[at].reshape(arr.shape)
             self.grads[name] = grad[at].reshape(arr.shape)
             self.tensors[name][...] = arr
-        # Per run, (destination, source) view pairs that copy its gradients into
-        # its slot and its updated parameters back out.
-        self._gather, self._scatter = [], []
+        # Per block tensor: its parameters and gradients, the rows gathered
+        # from them, and those rows' parameter and gradient slots.
+        self._gathered = []
         slot = 0
-        for start, stop in runs:
-            at, to = slice(slots + start, slots + stop), slice(slot, slot + stop - start)
-            flat[to] = flat[at]
-            self._gather.append((grad[to], grad[at]))
-            self._scatter.append((flat[at], flat[to]))
-            slot = to.stop
+        for name, rows in gathered.items():
+            at = slice(slot, slot + rows.size * width)
+            p, g = flat[at].reshape(-1, width), grad[at].reshape(-1, width)
+            p[...] = self.tensors[name][rows]
+            self._gathered.append((self.tensors[name], self.grads[name], rows, p, g))
+            slot = at.stop
+        self.rows = live if gathered else None
 
-        # The question rows that Adam reads in either block: those it does not skip.
-        read = [live[offsets[name] : offsets[name] + tensors[name].size]
-                .reshape(tensors[name].shape)[first:] for name, first in blocks.items()]
-        self.rows = None if live.all() else np.flatnonzero(np.logical_or.reduce(read).any(axis=1))
-
-        region = slots + prefix
+        region = slots + offsets[first] + blocks[first] * width if gathered else size
         self.p, self.g = flat[:region], grad[:region]
         self.lr = lr
         self.t = 0
@@ -206,8 +183,8 @@ class _Adam:
         self.scratch = np.empty(region)
 
     def step(self) -> None:
-        for slot, rows in self._gather:
-            slot[...] = rows
+        for _, grad, rows, _, slots in self._gathered:
+            np.take(grad, rows, axis=0, out=slots, mode="clip")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -225,8 +202,8 @@ class _Adam:
         np.multiply(self.lr, s, out=s)
         s /= g
         self.p -= s
-        for rows, slot in self._scatter:
-            rows[...] = slot
+        for tensor, _, rows, slots, _ in self._gathered:
+            tensor[rows] = slots
 
 
 def train(

@@ -1,6 +1,10 @@
 """tools/ab.py: its corpora, the trees it loads, its bit check and its summary."""
 
+import json
+import os
+import platform
 import re
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,3 +67,27 @@ def test_summary_gives_per_pair_ratios_by_half():
     assert summary["pairs"] == 4 and call_ms["better"] == "lower"
     assert call_ms["change_wins"] == "3/4"
     assert call_ms["parent_q1_median_q3"] == [40.0, 40.0, 42.5]
+
+
+def test_a_record_names_resolved_commits_and_its_environment(tmp_path, monkeypatch):
+    def load(src, name, corpus):
+        trainer = lambda i: SimpleNamespace(steps=1, loss_curve=[0.5],
+                                            params=SimpleNamespace(tensors={"w": np.zeros(2)}))
+        return trainer, {"buckets_hit_per_chunk": [14] * 20, "buckets_per_question": 3.0}
+
+    monkeypatch.setattr(ab, "load", load)
+    monkeypatch.setattr(ab, "PAIRS", 4)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    out = tmp_path / "BENCH_test.json"
+    assert ab.main(["--parent", "HEAD", "--change", head[:7], "--out", str(out),
+                    "--name", "test"]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))["ab"]["test"]
+    assert record["parent"] == record["change"] == head
+    assert record["env"] == {"python": platform.python_version(), "numpy": np.__version__,
+                             "platform": platform.platform(), "cpu": record["env"]["cpu"],
+                             "affinity": sorted(os.sched_getaffinity(0))}
+    assert record["env"]["cpu"] and len(record["runs"]) == 8
+    with pytest.raises(subprocess.CalledProcessError):
+        ab.resolve("no-such-revision")

@@ -26,6 +26,7 @@ from sdag.subjects import NUM_SUBJECTS, SDag, Subject, build_ground_truth_dag
 M, P, B, C = Subject.MATH, Subject.PHYSICS, Subject.BIOLOGY, Subject.CHEMISTRY
 
 DIMS = RouterDims(d_s=8, d_q=16, h=8, L=2)
+BENCH_DIMS = RouterDims(d_s=32, d_q=256, h=64, L=2)
 
 
 def tiny_samples():
@@ -247,11 +248,11 @@ def training_runs(draw):
 
 
 def skip_costs(free):
-    """At these small dims no frozen run is worth its copies; with free copies
-    Adam skips every frozen row."""
+    """At these small dims few frozen rows outweigh their gather; with a free
+    gather Adam skips the frozen rows whenever there are any."""
     if not free:
         return contextlib.nullcontext()
-    return mock.patch.multiple(training, COPY_COST=0.0, RUN_COST=0.0)
+    return mock.patch.object(training, "GATHER_COST", 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,6 +291,24 @@ def test_checkpoint_bytes_equal_the_dense_optimizers(tmp_path):
     config = TrainConfig(epochs=4, lr=2e-2, seed=5)
     save_checkpoint(train(params, samples, config).params, tmp_path / "sparse.json")
     save_checkpoint(dense_train(params, samples, config)[0], tmp_path / "dense.json")
+    assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
+def test_skipping_every_other_bucket_at_the_benchmark_dims_matches_dense_adam(tmp_path):
+    params = init_params(BENCH_DIMS, seed=2)
+    hit = np.arange(0, 256, 2)
+    rng = np.random.default_rng(2)
+    samples = [_random_sample(rng, 256, hit[i::4]) for i in range(4)]
+    config = TrainConfig(epochs=2, lr=2e-2, seed=2)
+    # Unpatched, Adam skips the 128 frozen rows of each block.
+    optimizer = training._Adam(params, training._live_buckets(256, samples), config.lr)
+    assert optimizer.rows.tolist() == hit.tolist()
+    result = train(params, samples, config)
+    reference = dense_train(params, samples, config)[0]
+    for name, ref in reference.tensors.items():
+        assert result.params.tensors[name].tobytes() == ref.tobytes(), name
+    save_checkpoint(result.params, tmp_path / "sparse.json")
+    save_checkpoint(reference, tmp_path / "dense.json")
     assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
 
@@ -353,22 +372,18 @@ def test_train_rejects_a_question_embedding_of_the_wrong_shape():
         train(init_params(DIMS), samples, TrainConfig(epochs=1))
 
 
-def frozen_runs(size, runs):
-    frozen = np.zeros(size, dtype=bool)
-    for start, stop in runs:
-        frozen[start:stop] = True
-    return frozen
-
-
-def test_adam_skips_the_frozen_runs_that_pay_for_their_copies():
-    # Runs of 10, 300 and 200 elements: the short one would save less than its
-    # copy calls cost; the two long ones save more than copying the 1,500
-    # elements past the first of them.
-    frozen = frozen_runs(2000, [(100, 110), (500, 800), (1500, 1700)])
-    assert np.array_equal(training._skipped(frozen), frozen_runs(2000, [(500, 800), (1500, 1700)]))
-    # One long run early in a long layout saves less than the copies behind it.
-    assert not training._skipped(frozen_runs(5000, [(100, 300)])).any()
-    assert not training._skipped(np.zeros(100, dtype=bool)).any()
+def test_adam_skips_once_the_frozen_rows_outweigh_their_gather():
+    # Skipping f frozen rows saves 2f rows' updates and gathers the 2(256 - f)
+    # live question rows and the 32 rows of init.w ahead of its question block.
+    params = init_params(BENCH_DIMS, seed=0)
+    size = sum(arr.size for arr in params.tensors.values())
+    boundary = next(f for f in range(257) if 2 * f > training.GATHER_COST * (2 * (256 - f) + 32))
+    assert 1 < boundary < 256
+    for frozen, skips in [(boundary - 1, False), (boundary, True)]:
+        optimizer = training._Adam(params, np.arange(256) >= frozen, 1e-3)
+        assert (optimizer.rows is not None) == skips, frozen
+        # Skipping, Adam updates every element but the frozen rows', once.
+        assert optimizer.p.size == size - skips * 2 * frozen * BENCH_DIMS.h, frozen
 
 
 def _reads(params, live, name, row) -> bool:
@@ -382,17 +397,18 @@ def _reads(params, live, name, row) -> bool:
     return any(np.isnan(arr).any() for arr in optimizer.tensors.values())
 
 
-@pytest.mark.parametrize("hit, skips", [(np.arange(0, 256, 2), False), (np.arange(14), True)])
+@pytest.mark.parametrize("hit, skips", [(np.arange(1, 256), False), (np.arange(14), True),
+                                       (np.arange(0, 256, 2), True), (np.arange(256), False)])
 def test_adam_skips_question_rows_only_where_they_pay(hit, skips):
-    # At the benchmark dims: single dead buckets between hit ones are updated
-    # in place, while a few hit buckets leave long frozen runs to skip.
-    params = init_params(RouterDims(d_s=32, d_q=256, h=64, L=2), seed=0)
+    # At the benchmark dims: a few hit buckets, or every other one, leave
+    # enough frozen rows to skip; one frozen row, or none, is updated in place.
+    params = init_params(BENCH_DIMS, seed=0)
     live = np.zeros(256, dtype=bool)
     live[hit] = True
     optimizer = training._Adam(params, live, 1e-3)
     size = sum(arr.size for arr in params.tensors.values())
     assert (optimizer.p.size < size) == skips
-    assert bool(optimizer._gather) == skips
+    assert bool(optimizer._gathered) == skips
     # The rows it exposes are exactly the question rows it reads, in both blocks.
     assert (optimizer.rows is not None) == skips
     rows = list(range(256)) if optimizer.rows is None else optimizer.rows.tolist()

@@ -30,6 +30,8 @@ plus the quartiles of the per-pair ratio change/parent and the median ratio
 of each half. With `--out`, the runs and summary are stored under
 `ab.<KEY>` in the file, whose other keys are kept, with the corpus, the
 buckets each chunk hits and the mean number of nonzero buckets per question.
+A record names each revision by the commit it resolved to, and its `env`
+gives the Python, NumPy, platform, CPU model and the CPUs the process ran on.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -62,6 +65,23 @@ DIMS = dict(d_s=32, d_q=256, h=64, L=2)
 PAIRS = 80
 # The share of the question buckets each chunk of a corpus hits, at least.
 CORPORA = {"synthetic": 0.0, "dense-50": 0.5, "dense-75": 0.75, "dense-90": 0.9, "dense": 1.0}
+
+
+def resolve(rev: str) -> str:
+    """The commit that revision `rev` names."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def environment() -> dict:
+    """The interpreter, NumPy, platform and CPUs this process runs on."""
+    cpu = platform.processor() or "unknown"
+    with open("/proc/cpuinfo", encoding="utf-8") as info:
+        cpu = next((line.split(":", 1)[1].strip() for line in info
+                    if line.startswith("model name")), cpu)
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "cpu": cpu,
+            "affinity": sorted(os.sched_getaffinity(0))}
 
 
 def checkout(rev: str, into: Path) -> Path:
@@ -175,9 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (args.out is None) != (args.name is None):
         parser.error("--out and --name go together")
+    revs = {side: resolve(getattr(args, side)) for side in SIDES}
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as scratch:
-        src = {side: checkout(getattr(args, side), Path(scratch) / side) for side in SIDES}
+        src = {side: checkout(revs[side], Path(scratch) / side) for side in SIDES}
         # Half 0 loads the parent first, half 1 the change.
         workloads = [{side: load(src[side], f"ab_{side}_{half}", args.corpus) for side in order}
                      for half, order in enumerate((SIDES, SIDES[::-1]))]
@@ -196,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
         record.setdefault("ab", {})[args.name] = {
-            "what": __doc__.split("\n\n", 1)[1].strip(), "parent": args.parent,
-            "change": args.change, **corpus, "same_bits": True, "runs": runs, "summary": summary}
+            "what": __doc__.split("\n\n", 1)[1].strip(), **revs, "env": environment(),
+            **corpus, "same_bits": True, "runs": runs, "summary": summary}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -14,8 +14,9 @@ call per 25-question chunk of a 500-question synthetic corpus. `--corpus`
 sets how many of the 256 question buckets a chunk hits: `synthetic` (the
 default) the 14 of the subject keywords, as generated; `dense-50`,
 `dense-75`, `dense-90` and `dense` 50, 75, 90 and 100 %, by tokens `v0, v1,
-...` dealt round-robin over the chunk's questions. So Adam reads 19, 187 and,
-from `dense-75` on, all 256 question rows. The tokens change no DAG or label.
+...` dealt round-robin over the chunk's questions. So Adam reads 14, 128 and
+192 and, from `dense-90` on, all 256 question rows. The tokens change no DAG
+or label.
 
 Before timing, each tree trains every chunk; the two trees' parameter bits
 and loss curves must be equal, or the tool exits 1 without timing. Then pair

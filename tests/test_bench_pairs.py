@@ -112,3 +112,22 @@ def test_verdicts_only_for_metrics_with_a_bound():
     bounds = bench_pairs.metric_bounds(benchmark)
     assert bounds["qps.sdag"] == 0.25
     assert "router.model.route_us" not in bounds
+
+
+def test_runs_join_a_file_of_in_process_ab_records(tmp_path, monkeypatch):
+    def run_once(command, tree, workload, seed, trace):
+        result = {"correct": True, "failed": 0,
+                  "metrics": {"train_samples_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
+        return {"exit": 0, "wall_s": 1.0, "env": {"git_rev": tree.name}, "result": result}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_test.json"
+    out.write_text(json.dumps({"ab": {"synthetic": {"same_bits": True}}}), encoding="utf-8")
+    args = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+            "--workload", "train", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["ab"] == {"synthetic": {"same_bits": True}}
+    assert record["what"] == bench_pairs.WHAT and len(record["runs"]) == 4
+    assert (record["parent"], record["change"]) == ("p", "c")
+    assert record["summary"]["train"]["metrics"]["train_samples_per_s"]["change_wins"] == "0/2"

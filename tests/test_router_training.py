@@ -248,8 +248,8 @@ def training_runs(draw):
 
 
 def skip_costs(free):
-    """At these small dims few frozen rows outweigh their gather; with a free
-    gather Adam skips the frozen rows whenever there are any."""
+    """Unpatched, Adam skips the frozen rows when they outweigh their gather;
+    with a free gather it skips them whenever there are any."""
     if not free:
         return contextlib.nullcontext()
     return mock.patch.object(training, "GATHER_COST", 0.0)

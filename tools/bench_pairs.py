@@ -164,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     key = args.workload + ("/trace" if args.trace else "")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    record = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
-              else {"what": WHAT, "runs": []})
+    # A file may hold only `tools/ab.py` records so far.
+    record = {"what": WHAT, "runs": [],
+              **(json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {})}
     earlier = [r for r in record["runs"]
                if (r["workload"], r["trace"]) == (args.workload, args.trace)]
     first = max((r["pair"] for r in earlier), default=0) + 1

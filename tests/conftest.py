@@ -1,5 +1,5 @@
-"""Shared fixtures: oracle mock pools, profiling sets, a trained router, and
-a scripted local HTTP server for remote-backend tests."""
+"""Shared fixtures: oracle and flow mock pools, profiling sets, a trained
+router, and a scripted local HTTP server for remote-backend tests."""
 
 import os
 
@@ -85,6 +85,37 @@ def oracle_pool() -> list[ModelPoolEntry]:
 def oracle_client():
     """Fresh client (and call counter) over the oracle backends."""
     return build_client(oracle_backend_configs())
+
+
+# The flow pools' rules ahead of the oracle rules. A prompt without a hint (a
+# node that received no upstream text, or a single_cot call) gets a hint that
+# names the node's subject and a wrong label, so only a node that received a
+# hint and is the right expert answers with the gold label.
+NO_HINT = "(?s)^(?!.*FLOWHINT)"
+HINT_REPLY = "FLOWHINT from {subject}: <<{wrong}>>"
+# The strict pool's rule: no hint names a subject planted in the question line.
+# The match ignores case, so `computer science` there backreferences the hint
+# from `Computer Science`.
+NO_PLANTED_HINT = r"(?si)^(?!.*Question: [^\n]*\b([a-z]+(?: [a-z]+)?)\b.*FLOWHINT from \1:)"
+
+
+def flow_backend_configs(strict: bool = False) -> list[BackendConfig]:
+    """The oracle backends, each behind the flow rules: with no hint received
+    a node replies with a hint and a wrong label; the strict pool also answers
+    wrong unless a hint came from a subject planted in the question."""
+    rules = [{"match": {"regex": NO_HINT}, "reply": HINT_REPLY}]
+    if strict:
+        rules.append({"match": {"regex": NO_PLANTED_HINT}, "reply": "<<{wrong}>>"})
+    return [
+        BackendConfig(name=c.name, kind="mock", script=rules + c.script, seed=c.seed)
+        for c in oracle_backend_configs()
+    ]
+
+
+def flow_client(strict: bool = False):
+    """Fresh client over the flow backends, which share the oracle pool's
+    backend names, so the oracle pool's profiles select models for them."""
+    return build_client(flow_backend_configs(strict))
 
 
 class LiveMock:

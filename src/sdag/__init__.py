@@ -4,50 +4,3 @@ Predicts a subject dependency graph for a question with a trainable graph
 network, picks an expert model per subject from capability profiles, and
 executes the graph as a prompt pipeline from supporting to dominant agents.
 """
-
-from . import (
-    backends,
-    curation,
-    embedding,
-    errors,
-    evaluation,
-    orchestrator,
-    profiling,
-    router,
-    subjects,
-    synthetic,
-)
-from .subjects import (
-    NUM_SUBJECTS,
-    SUBJECTS,
-    QuestionRecord,
-    SDag,
-    SDagEdge,
-    SDagNode,
-    Subject,
-    build_ground_truth_dag,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "NUM_SUBJECTS",
-    "SUBJECTS",
-    "QuestionRecord",
-    "SDag",
-    "SDagEdge",
-    "SDagNode",
-    "Subject",
-    "__version__",
-    "backends",
-    "build_ground_truth_dag",
-    "curation",
-    "embedding",
-    "errors",
-    "evaluation",
-    "orchestrator",
-    "profiling",
-    "router",
-    "subjects",
-    "synthetic",
-]

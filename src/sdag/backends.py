@@ -309,6 +309,8 @@ class RemoteBackend:
                 )
             try:
                 text = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(
                     f"backend {self.config.name!r}: malformed response body ({exc})",

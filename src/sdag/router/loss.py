@@ -41,8 +41,7 @@ Array = np.ndarray
 
 # Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before the log.
 PROB_EPS = 1e-7
-# Picks a grid's ordered pairs row by row, the order of `model.PAIR_SRC` and
-# `model.PAIR_DST`, in one boolean index instead of two index arrays.
+# One boolean index for a grid's ordered pairs, row by row as `model.PAIR_SRC` lists them.
 OFF_DIAGONAL = ~np.eye(NUM_SUBJECTS, dtype=bool)
 
 
@@ -191,15 +190,3 @@ def loss_for_dag_output(
     """
     return masked_bce_loss(route(params, h_q), node_labels, edge_labels, config)
 
-
-__all__ = [
-    "PROB_EPS",
-    "LossConfig",
-    "Target",
-    "targets",
-    "edge_mask",
-    "masked_bce_loss",
-    "logit_gradients",
-    "loss_and_gradients",
-    "loss_for_dag_output",
-]

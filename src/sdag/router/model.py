@@ -31,9 +31,7 @@ from ..subjects import NUM_SUBJECTS
 Array = np.ndarray
 
 # Ordered (src, dst) index pairs for the off-diagonal of the full subject graph.
-PAIR_SRC = np.array([i for i in range(NUM_SUBJECTS) for j in range(NUM_SUBJECTS) if i != j])
-PAIR_DST = np.array([j for i in range(NUM_SUBJECTS) for j in range(NUM_SUBJECTS) if i != j])
-NUM_PAIRS = len(PAIR_SRC)
+PAIR_SRC, PAIR_DST = np.nonzero(~np.eye(NUM_SUBJECTS, dtype=bool))
 # Every subject as an edge source: the full 15 x 15 edge grid.
 ALL_ROWS = np.arange(NUM_SUBJECTS)
 

@@ -430,10 +430,18 @@ def test_remote_429_exhausts_retry_budget(scripted_server):
 
 
 def test_remote_malformed_body(scripted_server):
-    scripted_server.enqueue(200, {"unexpected": "shape"})
+    # A missing reply, a null content and a list of content parts: none is text.
+    bodies = [
+        {"unexpected": "shape"},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": [{"type": "text", "text": "hi"}]}}]},
+    ]
     backend = RemoteBackend(remote_config(scripted_server.url))
-    with pytest.raises(TransportError):
-        backend.complete(ChatRequest(backend="rb", user="u"))
+    for body in bodies:
+        scripted_server.enqueue(200, body)
+        with pytest.raises(TransportError, match="malformed response body"):
+            backend.complete(ChatRequest(backend="rb", user="u"))
+    assert len(scripted_server.requests) == len(bodies)
 
 
 def test_remote_timeout(scripted_server):

@@ -41,7 +41,8 @@ Array = np.ndarray
 
 # Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before the log.
 PROB_EPS = 1e-7
-# One boolean index for a grid's ordered pairs, row by row as `model.PAIR_SRC` lists them.
+# Picks a grid's ordered pairs row by row, the order of `model.PAIR_SRC` and
+# `model.PAIR_DST`, in one boolean index instead of two index arrays.
 OFF_DIAGONAL = ~np.eye(NUM_SUBJECTS, dtype=bool)
 
 
@@ -189,4 +190,3 @@ def loss_for_dag_output(
     finite-difference check of `backward` runs through a separate path.
     """
     return masked_bce_loss(route(params, h_q), node_labels, edge_labels, config)
-
